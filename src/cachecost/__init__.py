@@ -24,7 +24,7 @@ from .analytic import (
     sample_item_rates,
     zipf_pmf,
 )
-from .engine import CostLedger, InvariantViolation, cost_per_request, run, warmup_filter
+from .engine import CostLedger, InvariantViolation, cost_per_request, run
 from .experiments import (
     ConfigError,
     ExperimentConfig,
@@ -116,6 +116,5 @@ __all__ = [
     "sweep",
     "synthesize_from_counts",
     "validation_report",
-    "warmup_filter",
     "zipf_pmf",
 ]

@@ -18,17 +18,19 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Protocol
 
+import numpy as np
+
 from .analytic import CostModel
 from .policies import PolicyVerdict
-from .workload import ItemId, Request
+from .workload import Columns, ItemId, Request
 
 __all__ = [
     "CostLedger",
     "InvariantViolation",
     "Policy",
     "cost_per_request",
+    "global_ttl_ledger",
     "run",
-    "warmup_filter",
 ]
 
 
@@ -70,6 +72,13 @@ def cost_per_request(ledger: CostLedger) -> float:
     return ledger.total_dollars / ledger.requests
 
 
+def _check_warmup(warmup: float) -> float:
+    warmup = float(warmup)
+    if not (math.isfinite(warmup) and warmup >= 0.0):
+        raise ValueError(f"warmup must be finite and >= 0, got {warmup!r}")
+    return warmup
+
+
 def run(
     trace: Iterable[Request],
     policy: Policy,
@@ -84,10 +93,7 @@ def run(
     residency intervals are clipped to their post-warmup part. An entirely
     pre-warmup trace yields a zero-request ledger.
     """
-    warmup = float(warmup)
-    if not (math.isfinite(warmup) and warmup >= 0.0):
-        raise ValueError(f"warmup must be finite and >= 0, got {warmup!r}")
-
+    warmup = _check_warmup(warmup)
     on_request = policy.on_request
     residency: dict[ItemId, list[float]] = {}
     item_hours = 0.0
@@ -97,7 +103,7 @@ def run(
     prev = -math.inf
 
     for time, item in trace:
-        if time < prev:
+        if not time >= prev:  # also catches NaN
             raise InvariantViolation(f"trace time regression: {time} after {prev}")
         prev = time
         if t_first is None:
@@ -169,15 +175,82 @@ def run(
     )
 
 
-def warmup_filter(
-    trace: Iterable[Request],
-    policy: Policy,
+def global_ttl_ledger(
+    trace: Columns,
+    ttl: float,
     costs: CostModel,
-    warmup: float,
+    *,
+    warmup: float = 0.0,
 ) -> CostLedger:
-    """`run` with measurement starting at `warmup` hours.
+    """The ledger of `run(trace, GlobalTtlPolicy(ttl), costs, warmup=warmup)`.
 
-    Cache state builds from the full prefix; only post-threshold requests
-    and storage are billed. warmup = 0 is identical to a plain run.
+    Priced from columns instead of event by event, and equal to the
+    engine's ledger field for field. A stable sort by (movie, ad) puts each
+    item's requests in time order. A request is a hit when the previous
+    request of its item plus ttl reaches it, and each miss starts a new
+    residency run. Item-hours are summed sequentially in the order the
+    engine adds them: closed runs by the index of the request that closes
+    them, then runs still open at the end of the trace by the index of
+    their first request.
     """
-    return run(trace, policy, costs, warmup=warmup)
+    ttl = float(ttl)
+    if math.isnan(ttl) or ttl < 0.0:
+        raise ValueError(f"ttl must be >= 0, got {ttl!r}")
+    warmup = _check_warmup(warmup)
+    times = trace.times
+    n = times.size
+    prev = np.concatenate(([-math.inf], times[:-1]))
+    bad = np.flatnonzero(~(times >= prev))  # also catches NaN
+    if bad.size:
+        i = bad[0]
+        raise InvariantViolation(
+            f"trace time regression: {float(times[i])} after {float(prev[i])}"
+        )
+    counted = times >= warmup
+    requests = int(np.count_nonzero(counted))
+    hits = 0
+    item_hours = 0.0
+    if ttl > 0.0 and n:
+        t_end = times[-1]
+        order = np.lexsort((trace.ads, trace.movies))
+        movies = trace.movies[order]
+        ads = trace.ads[order]
+        t = times[order]
+        deadline = t + ttl
+        # same[k]: sorted requests k and k + 1 belong to one item.
+        same = (movies[1:] == movies[:-1]) & (ads[1:] == ads[:-1])
+        hit = np.zeros(n, dtype=bool)
+        hit[1:] = same & (deadline[:-1] >= t[1:])
+        hits = int(np.count_nonzero(hit & counted[order]))
+        # One residency run per miss, from its first to its last request.
+        first = np.flatnonzero(~hit)
+        last = np.append(first[1:] - 1, n - 1)
+        start = t[first]
+        begin = np.where(start > warmup, start, warmup)
+        until = deadline[last]
+        closed = np.append(same[last[:-1]], False)
+        # Closed runs in the order of the request that closes them.
+        by_close = np.argsort(order[last[closed] + 1])
+        stop = until[closed][by_close]
+        closed_hours = (stop - begin[closed][by_close])[stop > warmup]
+        # Then the runs still open, in the order of their first request.
+        still_open = ~closed
+        by_first = np.argsort(order[first[still_open]])
+        stop = until[still_open][by_first]
+        stop = np.where(t_end < stop, t_end, stop)
+        open_hours = (stop - begin[still_open][by_first])[stop > warmup]
+        hours = np.concatenate((closed_hours, open_hours))
+        if hours.size:
+            # cumsum adds in sequence, as the engine does; np.sum (pairwise)
+            # and math.fsum would round differently.
+            item_hours = float(np.cumsum(hours)[-1])
+    computes = requests - hits
+    return CostLedger(
+        requests=requests,
+        hits=hits,
+        computes=computes,
+        compute_dollars=computes * costs.compute_per_item,
+        storage_dollars=item_hours * costs.storage_per_item_hour,
+        transmission_dollars=requests * costs.transmission_per_item,
+        span=float(times[-1] - times[0]) if n else 0.0,
+    )

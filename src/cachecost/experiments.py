@@ -36,23 +36,25 @@ from .analytic import (
     lower_bound_cost,
     optimal_global_ttl,
 )
-from .engine import CostLedger, cost_per_request, run
+from .engine import CostLedger, cost_per_request, global_ttl_ledger, run
 from .policies import (
-    GlobalTtlPolicy,
     IndividualTtlPolicy,
     LowerBoundPolicy,
     LruPolicy,
     PerfectRatePolicy,
 )
 from .workload import (
+    Columns,
     Request,
     TraceFormatError,
+    collect_columns,
     gen_synthetic,
     overlay_ads,
     parse_count_trace,
     parse_request_trace,
     subsample_records,
     synthesize_from_counts,
+    synthetic_columns,
 )
 
 __all__ = [
@@ -439,11 +441,13 @@ class _ChecksumStream:
         self._requests = requests
         self.crc = 0
         self.count = 0
+        self.last_time: "float | None" = None
 
     def __iter__(self) -> Iterator[Request]:
         pack = _PACKER.pack
         crc = 0
         count = 0
+        time = None
         for req in self._requests:
             time, (movie, ad) = req
             crc = zlib.crc32(pack(time, movie, -1 if ad is None else ad), crc)
@@ -451,6 +455,7 @@ class _ChecksumStream:
             yield req
         self.crc = crc
         self.count = count
+        self.last_time = time
 
     @property
     def hexdigest(self) -> str:
@@ -501,8 +506,6 @@ def build_requests(cfg: ExperimentConfig, seed: int) -> Iterator[Request]:
 
 def _build_policy(cfg: ExperimentConfig, requests: "Sequence[Request] | None"):
     kind = cfg.policy.kind
-    if kind == "global_ttl":
-        return GlobalTtlPolicy(cfg.policy.ttl)
     if kind == "individual_ttl":
         return IndividualTtlPolicy(cfg.policy.window, cfg.costs)
     if kind == "lru":
@@ -551,21 +554,49 @@ def _policy_param(cfg: ExperimentConfig) -> tuple[str, "float | int | str"]:
     return "", ""
 
 
+def _trace_columns(cfg: ExperimentConfig, seed: int) -> Columns:
+    """The trace of `build_requests(cfg, seed)` as columns."""
+    if cfg.workload.source == "synthetic":
+        return synthetic_columns(cfg.population_model(), cfg.workload.duration, seed)
+    return collect_columns(build_requests(cfg, seed))
+
+
+def _column_checksum(trace: Columns) -> str:
+    """crc32 of the packed records; equals `_ChecksumStream.hexdigest`."""
+    records = np.empty(trace.times.size, dtype=[("t", "<f8"), ("m", "<i8"), ("a", "<i8")])
+    records["t"], records["m"], records["a"] = trace
+    return format(zlib.crc32(records) & 0xFFFFFFFF, "08x")
+
+
 def _run_single(
     cfg: ExperimentConfig, seed: int, param: "tuple[str, float | int | str] | None" = None
 ) -> ResultRow:
-    """One (config, seed) simulation producing one CSV row."""
-    if cfg.policy.kind == "lower_bound":
-        checker = _ChecksumStream(build_requests(cfg, seed))
-        requests = list(checker)
-        checksum = checker.hexdigest
-        policy = _build_policy(cfg, requests)
-        ledger = run(requests, policy, cfg.costs, warmup=cfg.warmup)
+    """One (config, seed) simulation producing one CSV row.
+
+    Global TTL is priced from columns; the other policies replay the
+    request stream through the event engine.
+    """
+    if cfg.policy.kind == "global_ttl":
+        trace = _trace_columns(cfg, seed)
+        checksum = _column_checksum(trace)
+        ledger = global_ttl_ledger(trace, cfg.policy.ttl, cfg.costs, warmup=cfg.warmup)
+        last_time = float(trace.times[-1]) if trace.times.size else None
     else:
         checker = _ChecksumStream(build_requests(cfg, seed))
-        policy = _build_policy(cfg, None)
-        ledger = run(iter(checker), policy, cfg.costs, warmup=cfg.warmup)
+        if cfg.policy.kind == "lower_bound":
+            requests = list(checker)
+            ledger = run(requests, _build_policy(cfg, requests), cfg.costs, warmup=cfg.warmup)
+        else:
+            ledger = run(iter(checker), _build_policy(cfg, None), cfg.costs, warmup=cfg.warmup)
         checksum = checker.hexdigest
+        last_time = checker.last_time
+    if ledger.requests == 0:
+        if last_time is None:
+            raise TraceFormatError("the trace holds no requests")
+        raise ConfigError(
+            f"run.warmup ({cfg.warmup!r}) lies past the last request of the trace "
+            f"(at {last_time!r} h); no request is priced"
+        )
     name, value = param if param is not None else _policy_param(cfg)
     return ResultRow(
         policy=cfg.policy.kind,

@@ -2,7 +2,9 @@
 
 A workload is an iterator of time-ordered `Request` values. Streams are
 lazy: synthetic generators never materialize the full trace, and parsers
-yield as they read. Timestamps are hours from an arbitrary zero.
+yield as they read. Timestamps are hours from an arbitrary zero. For
+vectorized pricing a whole trace can also be held as `Columns`:
+`synthetic_columns` draws it directly, `collect_columns` reads any stream.
 
 Two text formats are supported, both UTF-8, comma separated, with `#`
 comment lines and `.` as the decimal point:
@@ -12,12 +14,15 @@ count trace      movie_id,upload_time_hours,total_views,horizon_hours
 
 A request trace either carries an ad id on every line or on none; in the
 latter case ads are meant to be drawn afterwards with `overlay_ads`.
+Movie and ad ids are integers from 1 to 2**63 - 1, so every trace also
+fits the int64 `Columns` form that the vectorized pricing reads.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -26,17 +31,23 @@ import numpy as np
 from .analytic import PopulationModel, ZipfLaw
 
 __all__ = [
+    "Columns",
     "CountTraceRecord",
     "ItemId",
     "Request",
     "TraceFormatError",
+    "collect_columns",
     "gen_synthetic",
     "overlay_ads",
     "parse_count_trace",
     "parse_request_trace",
     "subsample_records",
     "synthesize_from_counts",
+    "synthetic_columns",
 ]
+
+
+MAX_ID = 2**63 - 1  # largest movie or ad id: the int64 maximum
 
 
 class ItemId(NamedTuple):
@@ -49,6 +60,17 @@ class ItemId(NamedTuple):
 class Request(NamedTuple):
     time: float
     item: ItemId
+
+
+class Columns(NamedTuple):
+    """A time-ordered trace as parallel arrays: float64 times, int64 ids.
+
+    An unassigned ad is stored as -1.
+    """
+
+    times: np.ndarray
+    movies: np.ndarray
+    ads: np.ndarray
 
 
 class TraceFormatError(ValueError):
@@ -69,19 +91,13 @@ def _validate_seed(seed: int) -> int:
     return int(seed)
 
 
-def gen_synthetic(
-    population: PopulationModel,
-    duration: float,
-    seed: int,
-    *,
-    block_size: int = 8192,
-) -> Iterator[Request]:
-    """Poisson arrivals over [0, duration) with population-drawn items.
+def _synthetic_blocks(
+    population: PopulationModel, duration: float, seed: int, block_size: int
+) -> Iterator[Columns]:
+    """The draws behind `gen_synthetic`, block by block, cut at `duration`.
 
-    Interarrival gaps are exponential at the global rate; each arrival is
-    an independent (movie, ad) draw. One seeded generator drives the whole
-    stream, so a (population, duration, seed) triple is reproducible. The
-    stream is produced block by block and never held in memory at once.
+    Each block holds `block_size` arrivals; the last one ends just before
+    the first arrival at or after `duration`.
     """
     duration = float(duration)
     if not (math.isfinite(duration) and duration > 0.0):
@@ -98,11 +114,57 @@ def gen_synthetic(
         times = t + np.cumsum(rng.exponential(scale, block_size))
         movies = np.searchsorted(movie_cdf, rng.random(block_size), side="right") + 1
         ads = np.searchsorted(ad_cdf, rng.random(block_size), side="right") + 1
-        for time, movie, ad in zip(times.tolist(), movies.tolist(), ads.tolist()):
-            if time >= duration:
-                return
-            yield Request(time, ItemId(movie, ad))
+        if times[-1] >= duration:
+            cut = int(np.searchsorted(times, duration, side="left"))
+            yield Columns(times[:cut], movies[:cut], ads[:cut])
+            return
+        yield Columns(times, movies, ads)
         t = float(times[-1])
+
+
+def gen_synthetic(
+    population: PopulationModel,
+    duration: float,
+    seed: int,
+    *,
+    block_size: int = 8192,
+) -> Iterator[Request]:
+    """Poisson arrivals over [0, duration) with population-drawn items.
+
+    Interarrival gaps are exponential at the global rate; each arrival is
+    an independent (movie, ad) draw. One seeded generator drives the whole
+    stream, so a (population, duration, seed) triple is reproducible. The
+    stream is produced block by block and never held in memory at once.
+    """
+    for times, movies, ads in _synthetic_blocks(population, duration, seed, block_size):
+        for time, movie, ad in zip(times.tolist(), movies.tolist(), ads.tolist()):
+            yield Request(time, ItemId(movie, ad))
+
+
+def synthetic_columns(
+    population: PopulationModel,
+    duration: float,
+    seed: int,
+    *,
+    block_size: int = 8192,
+) -> Columns:
+    """The trace of `gen_synthetic` with the same arguments, as columns."""
+    blocks = list(_synthetic_blocks(population, duration, seed, block_size))
+    return Columns(*(np.concatenate(column) for column in zip(*blocks)))
+
+
+def collect_columns(requests: Iterable[Request]) -> Columns:
+    """Read a request stream once into columns; an unset ad becomes -1."""
+    times, movies, ads = array("d"), array("q"), array("q")
+    for time, (movie, ad) in requests:
+        times.append(time)
+        movies.append(movie)
+        ads.append(-1 if ad is None else ad)
+    return Columns(
+        np.frombuffer(times, dtype=np.float64),
+        np.frombuffer(movies, dtype=np.int64),
+        np.frombuffer(ads, dtype=np.int64),
+    )
 
 
 def _data_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -150,16 +212,16 @@ def parse_request_trace(lines: Iterable[str]) -> Iterator[Request]:
             movie = int(fields[1])
         except ValueError:
             raise TraceFormatError(f"bad movie id {fields[1]!r}", no) from None
-        if movie < 1:
-            raise TraceFormatError(f"movie id must be >= 1, got {movie}", no)
+        if not 1 <= movie <= MAX_ID:
+            raise TraceFormatError(f"movie id must be in [1, 2**63 - 1], got {movie}", no)
         ad: "int | None" = None
         if arity == 3:
             try:
                 ad = int(fields[2])
             except ValueError:
                 raise TraceFormatError(f"bad ad id {fields[2]!r}", no) from None
-            if ad < 1:
-                raise TraceFormatError(f"ad id must be >= 1, got {ad}", no)
+            if not 1 <= ad <= MAX_ID:
+                raise TraceFormatError(f"ad id must be in [1, 2**63 - 1], got {ad}", no)
         yield Request(time, ItemId(movie, ad))
 
 
@@ -173,8 +235,8 @@ class CountTraceRecord:
     horizon: float
 
     def __post_init__(self) -> None:
-        if self.movie < 1:
-            raise ValueError(f"movie id must be >= 1, got {self.movie}")
+        if not 1 <= self.movie <= MAX_ID:
+            raise ValueError(f"movie id must be in [1, 2**63 - 1], got {self.movie}")
         if self.total_views < 0:
             raise ValueError(f"total views must be >= 0, got {self.total_views}")
         if not self.upload_time >= 0.0:

@@ -27,7 +27,7 @@ from cachecost.analytic import (
     optimal_global_ttl,
 )
 from cachecost.cli import EXIT_OK, main
-from cachecost.engine import cost_per_request, run
+from cachecost.engine import cost_per_request, global_ttl_ledger, run
 from cachecost.policies import (
     GlobalTtlPolicy,
     IndividualTtlPolicy,
@@ -40,7 +40,7 @@ from cachecost.presets import (
     default_monte_carlo,
     default_population,
 )
-from cachecost.workload import gen_synthetic, parse_count_trace
+from cachecost.workload import gen_synthetic, parse_count_trace, synthetic_columns
 
 COSTS = default_cost_model()
 MC = default_monte_carlo()
@@ -136,14 +136,18 @@ FIXED_TTLS = (0.0, 60.0, 120.0, 300.0)
 def test_simulated_costs_match_closed_form(capsys):
     worst_ttl = worst_floor = 0.0
     fewest_requests = math.inf
+    columnar_mismatches = []
     for lam, (duration, warmup) in FIXED_TTL_BATTERY.items():
         pm = default_population(lam)
         ttl_costs = {ttl: [] for ttl in FIXED_TTLS}
         floor_costs = []
         for seed in SEEDS:
             trace = _materialize(lam, duration, seed)
+            columns = synthetic_columns(pm, duration, seed)
             for ttl in FIXED_TTLS:
                 ledger = run(trace, GlobalTtlPolicy(ttl), COSTS, warmup=warmup)
+                if global_ttl_ledger(columns, ttl, COSTS, warmup=warmup) != ledger:
+                    columnar_mismatches.append((lam, seed, ttl))
                 fewest_requests = min(fewest_requests, ledger.requests)
                 ttl_costs[ttl].append(cost_per_request(ledger))
             floor = LowerBoundPolicy.for_trace(COSTS, trace)
@@ -161,8 +165,10 @@ def test_simulated_costs_match_closed_form(capsys):
         "simulation vs closed form",
         ok,
         f"rel err: shared lifetime {worst_ttl:.2e}, floor {worst_floor:.2e} "
-        f"(tol 2e-2); min {fewest_requests} measured requests per run",
+        f"(tol 2e-2); min {fewest_requests} measured requests per run; "
+        f"columnar shared-lifetime ledgers differing from the engine: {columnar_mismatches}",
     )
+    assert not columnar_mismatches
 
 
 # --- 3: windowed policy vs the per-item ideal ------------------------------------

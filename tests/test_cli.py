@@ -164,6 +164,58 @@ path = {trace}
     assert "line 2" in capsys.readouterr().err
 
 
+TRACE_CONFIG = """
+[costs]
+storage_per_item_hour = 4.86e-7
+compute_per_item = 7.2e-4
+transmission_per_item = 5.25e-4
+
+[policy]
+{policy}
+
+[workload]
+source = request_trace
+path = {path}
+
+[run]
+warmup = {warmup}
+"""
+
+
+def test_id_past_int64_exits_with_trace_code(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    trace.write_text("0.0,1,1\n1.0,9223372036854775808,1\n")
+    cfg = tmp_path / "t.ini"
+    cfg.write_text(TRACE_CONFIG.format(policy="kind = global_ttl\nttl = 60.0", path=trace, warmup=0.0))
+    assert main(["run", "--config", str(cfg)]) == EXIT_TRACE
+    err = capsys.readouterr().err
+    assert err.startswith("trace error: line 2: movie id")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("policy", ["kind = global_ttl\nttl = 60.0", "kind = lru\ncapacity = 2"])
+def test_warmup_past_the_last_request_is_config_error(tmp_path, capsys, policy):
+    # global_ttl is priced from columns, lru by the event engine
+    trace = tmp_path / "t.csv"
+    trace.write_text("0.0,1,1\n1.5,2,1\n")
+    cfg = tmp_path / "t.ini"
+    cfg.write_text(TRACE_CONFIG.format(policy=policy, path=trace, warmup=50.0))
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: run.warmup (50.0)")
+    assert "1.5" in err
+    assert err.count("\n") == 1
+
+
+def test_trace_without_requests_exits_with_trace_code(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    trace.write_text("# time,movie,ad\n")
+    cfg = tmp_path / "t.ini"
+    cfg.write_text(TRACE_CONFIG.format(policy="kind = global_ttl\nttl = 60.0", path=trace, warmup=0.0))
+    assert main(["run", "--config", str(cfg)]) == EXIT_TRACE
+    assert capsys.readouterr().err == "trace error: the trace holds no requests\n"
+
+
 def test_invariant_violation_exits_with_invariant_code(config_file, capsys, monkeypatch):
     import cachecost.cli as cli_module
 

@@ -4,12 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cachecost.analytic import PopulationModel, ZipfLaw
-from cachecost.engine import InvariantViolation, cost_per_request, run, warmup_filter
+from cachecost.engine import (
+    InvariantViolation,
+    cost_per_request,
+    global_ttl_ledger,
+    run,
+)
+from cachecost.experiments import _ChecksumStream, _column_checksum
 from cachecost.policies import GlobalTtlPolicy, LruPolicy, PolicyVerdict
 from cachecost.presets import default_cost_model
-from cachecost.workload import ItemId, Request, gen_synthetic
+from cachecost.workload import ItemId, Request, collect_columns, gen_synthetic
 
 COSTS = default_cost_model()
 S = COSTS.storage_per_item_hour
@@ -183,7 +191,7 @@ def test_warmup_zero_matches_plain_run():
     pm = PopulationModel(ZipfLaw(20, 0.7), ZipfLaw(3, 0.9), 50.0)
     reqs = list(gen_synthetic(pm, 20.0, seed=11))
     plain = run(reqs, GlobalTtlPolicy(45.0), COSTS)
-    filtered = warmup_filter(reqs, GlobalTtlPolicy(45.0), COSTS, 0.0)
+    filtered = run(reqs, GlobalTtlPolicy(45.0), COSTS, warmup=0.0)
     assert plain == filtered
 
 
@@ -266,3 +274,88 @@ def test_evicting_non_resident_item_is_rejected():
 def test_trace_time_regression_is_rejected():
     with pytest.raises(InvariantViolation, match="regression"):
         run(_trace((1.0, A), (0.5, A)), GlobalTtlPolicy(10.0), COSTS)
+
+
+def _engine_global_ttl(reqs, ttl, warmup=0.0):
+    return run(reqs, GlobalTtlPolicy(ttl), COSTS, warmup=warmup)
+
+
+def _columnar_global_ttl(reqs, ttl, warmup=0.0):
+    return global_ttl_ledger(collect_columns(reqs), ttl, COSTS, warmup=warmup)
+
+
+@pytest.mark.parametrize("price", [_engine_global_ttl, _columnar_global_ttl])
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        ((1.0, A), (0.5, A)),
+        # NaN compares false both ways, so it must not hide the regression after it
+        ((1.0, A), (math.nan, B), (0.5, A)),
+        ((math.nan, A),),
+    ],
+)
+def test_nan_or_regressing_time_is_rejected(price, pairs):
+    with pytest.raises(InvariantViolation, match="regression"):
+        price(_trace(*pairs), 60.0)
+
+
+# --- columnar global TTL against the engine as oracle --------------------------
+
+
+ITEMS = [ItemId(m, a) for m in (1, 2) for a in (None, 1, 2)]
+
+
+@st.composite
+def _ttl_cases(draw):
+    """A small trace with tied times and few items, a ttl and a warmup."""
+    origin = draw(st.sampled_from([0.0, 0.25, 1e6]))
+    gaps = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 3.0]), st.floats(0.0, 4.0)),
+            max_size=30,
+        )
+    )
+    time, reqs = origin, []
+    for gap in gaps:
+        time += gap
+        reqs.append(Request(time, draw(st.sampled_from(ITEMS))))
+    times = [r.time for r in reqs]
+    # A ttl equal to a rounded difference of two times lands on a deadline
+    # where prev + ttl >= t and t - prev <= ttl disagree.
+    spans = [b - a for i, a in enumerate(times) for b in times[i + 1 :]]
+    ttl = draw(
+        st.one_of(
+            st.sampled_from([0.0, 5e-324, 1e-9, 0.5, 1.0, 2.5, math.inf]),
+            st.floats(0.0, 6.0),
+            st.sampled_from(spans or [1.0]),
+        )
+    )
+    t_end = reqs[-1].time if reqs else 0.0
+    warmup = draw(
+        st.one_of(
+            st.just(0.0),
+            st.sampled_from(times or [0.0]),
+            st.floats(0.0, t_end),
+            st.floats(t_end, t_end + 10.0).filter(lambda w: w > t_end),
+        )
+    )
+    return reqs, ttl, warmup
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ttl_cases())
+def test_columnar_global_ttl_equals_the_engine(case):
+    reqs, ttl, warmup = case
+    assert _columnar_global_ttl(reqs, ttl, warmup) == _engine_global_ttl(reqs, ttl, warmup)
+    checker = _ChecksumStream(reqs)
+    list(checker)
+    assert _column_checksum(collect_columns(reqs)) == checker.hexdigest
+
+
+def test_columnar_global_ttl_equals_the_engine_on_synthetic_traces():
+    pm = PopulationModel(ZipfLaw(200, 0.8), ZipfLaw(10, 0.9), 150.0)
+    reqs = list(gen_synthetic(pm, 150.0, seed=7))
+    for ttl in (0.0, 1e-9, 0.3, 4.0, 30.0, math.inf):
+        for warmup in (0.0, 50.0, 149.0):
+            want = _engine_global_ttl(reqs, ttl, warmup)
+            assert _columnar_global_ttl(reqs, ttl, warmup) == want

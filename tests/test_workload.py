@@ -12,12 +12,14 @@ from cachecost.workload import (
     ItemId,
     Request,
     TraceFormatError,
+    collect_columns,
     gen_synthetic,
     overlay_ads,
     parse_count_trace,
     parse_request_trace,
     subsample_records,
     synthesize_from_counts,
+    synthetic_columns,
 )
 
 # 0.999 quantiles of the chi-square law, frozen from an independent table
@@ -125,6 +127,37 @@ def test_synthetic_rejects_bad_arguments():
         list(gen_synthetic(pm, 10.0, seed=True))
 
 
+@pytest.mark.parametrize(
+    "duration,block_size",
+    [(20.3, 8192), (20.3, 7), (20.3, 1), (0.001, 8192)],
+)
+def test_synthetic_columns_equal_the_request_stream(duration, block_size):
+    # 8192 cuts inside the first block, 7 and 1 after many blocks; the last
+    # case draws no request at all
+    pm = PopulationModel(ZipfLaw(30, 0.8), ZipfLaw(4, 0.9), 50.0)
+    cols = synthetic_columns(pm, duration, 3, block_size=block_size)
+    assert (cols.times.dtype, cols.movies.dtype, cols.ads.dtype) == (
+        np.float64,
+        np.int64,
+        np.int64,
+    )
+    rebuilt = [
+        Request(t, ItemId(m, a))
+        for t, m, a in zip(cols.times.tolist(), cols.movies.tolist(), cols.ads.tolist())
+    ]
+    assert rebuilt == list(gen_synthetic(pm, duration, 3, block_size=block_size))
+
+
+def test_collect_columns_stores_an_unset_ad_as_minus_one():
+    cols = collect_columns([Request(0.5, ItemId(4, None)), Request(2.0, ItemId(5, 3))])
+    assert cols.times.tolist() == [0.5, 2.0]
+    assert cols.movies.tolist() == [4, 5]
+    assert cols.ads.tolist() == [-1, 3]
+    empty = collect_columns([])
+    assert [c.dtype for c in empty] == [np.float64, np.int64, np.int64]
+    assert empty.times.size == 0
+
+
 # --- request trace parsing --------------------------------------------------
 
 
@@ -173,6 +206,8 @@ def test_parse_equal_timestamps_allowed_in_file_order():
         ("1.0,x,1", "movie"),
         ("1.0,1,0", "ad"),
         ("1.0,1,y", "ad"),
+        ("1.0,9223372036854775808,1", "movie"),
+        ("1.0,1,9223372036854775808", "ad"),
         ("1.0", "fields"),
         ("1.0,1,1,9", "fields"),
     ],
@@ -182,6 +217,11 @@ def test_parse_rejects_malformed_lines(line, fragment):
         list(parse_request_trace([line]))
     assert err.value.line_no == 1
     assert fragment in str(err.value)
+
+
+def test_parse_accepts_the_largest_int64_ids():
+    top = 2**63 - 1
+    assert list(parse_request_trace([f"1.0,{top},{top}"])) == [Request(1.0, ItemId(top, top))]
 
 
 def test_parse_rejects_mixed_arity():
@@ -213,6 +253,7 @@ def test_parse_count_trace_basic():
         "7,0.0,120",          # arity
         "7,0.0,120,48.0,9",   # arity
         "0,0.0,120,48.0",     # movie id
+        "9223372036854775808,0.0,120,48.0",  # movie id past int64
         "7,0.0,-3,48.0",      # negative views
         "7,10.0,5,10.0",      # zero-length window
         "7,10.0,5,9.0",       # horizon before upload
