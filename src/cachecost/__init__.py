@@ -22,7 +22,6 @@ from .analytic import (
     lower_bound_cost,
     optimal_global_ttl,
     sample_item_rates,
-    zipf_pmf,
 )
 from .engine import CostLedger, InvariantViolation, cost_per_request, run
 from .experiments import (
@@ -116,5 +115,4 @@ __all__ = [
     "sweep",
     "synthesize_from_counts",
     "validation_report",
-    "zipf_pmf",
 ]

@@ -28,10 +28,10 @@ __all__ = [
     "harmonic",
     "individual_ttl_cost",
     "keep_decision",
+    "keeps",
     "lower_bound_cost",
     "optimal_global_ttl",
     "sample_item_rates",
-    "zipf_pmf",
 ]
 
 
@@ -158,11 +158,6 @@ class ZipfLaw:
         return np.searchsorted(self.cumulative, u, side="right").astype(np.int64) + 1
 
 
-def zipf_pmf(law: ZipfLaw, rank: int) -> float:
-    """Probability of `rank` under `law`. Errors outside 1..law.n."""
-    return law.pmf(rank)
-
-
 @dataclass(frozen=True)
 class PopulationModel:
     """Two independent Zipf popularity axes and a global request rate.
@@ -255,6 +250,12 @@ def _expected_cost_array(rates: np.ndarray, ttl: float, costs: CostModel) -> np.
     return (s / rates) * -np.expm1(-x) + c * np.exp(-x)
 
 
+def keeps(rate, costs: CostModel):
+    """Whether an item of this request rate is worth keeping: its rate
+    strictly clears the break-even rate S/C. Works on floats and arrays."""
+    return rate > costs.break_even_rate()
+
+
 def keep_decision(rate: float, costs: CostModel) -> KeepDecision:
     """Never cache below the break-even rate, cache forever above it.
 
@@ -264,7 +265,7 @@ def keep_decision(rate: float, costs: CostModel) -> KeepDecision:
     rate = _require_finite("rate", rate)
     if rate < 0.0:
         raise ValueError(f"rate must be >= 0, got {rate}")
-    if rate > costs.break_even_rate():
+    if keeps(rate, costs):
         return KeepDecision.CACHE_FOREVER
     return KeepDecision.NEVER_CACHE
 
@@ -302,11 +303,11 @@ def individual_ttl_cost(
     """Expected cost per request when each item gets its ideal TTL.
 
     With a known per-item rate the ideal TTL is degenerate: keep forever
-    when the rate clears the break-even rate, otherwise never store.
+    when the rate strictly clears the break-even rate, otherwise never store.
     """
     rates = sample_item_rates(population, mc)
     s, c = costs.storage_per_item_hour, costs.compute_per_item
-    per_item = np.where(rates >= costs.break_even_rate(), s / rates, c)
+    per_item = np.where(keeps(rates, costs), s / rates, c)
     return float(np.mean(per_item)) + costs.transmission_per_item
 
 

@@ -19,12 +19,14 @@ import sys
 from .engine import InvariantViolation
 from .experiments import (
     ANALYTIC_COLUMNS,
+    CSV_COLUMNS,
+    SWEEP_AXES,
     VALIDATION_COLUMNS,
     ConfigError,
     analytic_table,
     emit_csv,
-    emit_dict_csv,
     load_config,
+    override,
     run_experiment,
     sweep,
     validation_report,
@@ -37,16 +39,9 @@ EXIT_TRACE = 3
 EXIT_INVARIANT = 4
 
 
-def _parse_grid(text: str, *, integers: bool = False) -> list:
-    values = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            values.append(int(part) if integers else float(part))
-        except ValueError:
-            raise ConfigError(f"bad grid value {part!r}") from None
+def _parse_grid(text: str) -> list[str]:
+    """The comma-separated values; the config key a grid sets checks them."""
+    values = [part.strip() for part in text.split(",") if part.strip()]
     if not values:
         raise ConfigError(f"empty grid {text!r}")
     return values
@@ -101,52 +96,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _with_seed_override(cfg, seeds):
-    if not seeds:
-        return cfg
-    if any(s < 0 for s in seeds):
-        raise ConfigError("--seed values must be >= 0")
-    from dataclasses import replace
-
-    return replace(cfg, seeds=tuple(seeds))
-
-
-def _emit(rows, out, writer) -> None:
-    if out is None:
-        writer(rows, sys.stdout)
-    else:
-        writer(rows, out)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.command == "run":
-            cfg = _with_seed_override(cfg, args.seed)
-            rows = run_experiment(cfg, jobs=args.jobs)
-            _emit(rows, args.out, emit_csv)
-        elif args.command == "sweep":
-            cfg = _with_seed_override(cfg, args.seed)
-            if args.ttl_grid is not None:
-                axis, grid = "ttl", _parse_grid(args.ttl_grid)
-            elif args.window_grid is not None:
-                axis, grid = "window", _parse_grid(args.window_grid)
-            elif args.capacity_grid is not None:
-                axis, grid = "capacity", _parse_grid(args.capacity_grid, integers=True)
-            else:
-                axis, grid = "lambda", _parse_grid(args.lambda_grid)
-            rows = sweep(cfg, axis, grid, jobs=args.jobs)
-            _emit(rows, args.out, emit_csv)
-        elif args.command == "analytic":
+        columns = CSV_COLUMNS
+        if args.command == "analytic":
             ttl_grid = _parse_grid(args.ttl_grid) if args.ttl_grid is not None else None
             lambda_grid = _parse_grid(args.lambda_grid) if args.lambda_grid is not None else None
             rows = analytic_table(cfg, ttl_grid=ttl_grid, lambda_grid=lambda_grid)
-            _emit(rows, args.out, lambda r, d: emit_dict_csv(r, ANALYTIC_COLUMNS, d))
+            columns = ANALYTIC_COLUMNS
         else:
-            cfg = _with_seed_override(cfg, args.seed)
-            rows = validation_report(cfg, jobs=args.jobs)
-            _emit(rows, args.out, lambda r, d: emit_dict_csv(r, VALIDATION_COLUMNS, d))
+            if args.seed:
+                cfg = override(cfg, "run", "seeds", args.seed)
+            if args.command == "run":
+                rows = run_experiment(cfg, jobs=args.jobs)
+            elif args.command == "sweep":
+                axis = next(a for a in SWEEP_AXES if getattr(args, f"{a}_grid") is not None)
+                grid = _parse_grid(getattr(args, f"{axis}_grid"))
+                rows = sweep(cfg, axis, grid, jobs=args.jobs)
+            else:
+                rows = validation_report(cfg, jobs=args.jobs)
+                columns = VALIDATION_COLUMNS
+        emit_csv(rows, sys.stdout if args.out is None else args.out, columns)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -20,7 +20,7 @@ from typing import Iterable, Protocol
 
 import numpy as np
 
-from .analytic import CostModel
+from .analytic import CostModel, _validate_ttl
 from .policies import PolicyVerdict
 from .workload import Columns, ItemId, Request
 
@@ -193,9 +193,7 @@ def global_ttl_ledger(
     them, then runs still open at the end of the trace by the index of
     their first request.
     """
-    ttl = float(ttl)
-    if math.isnan(ttl) or ttl < 0.0:
-        raise ValueError(f"ttl must be >= 0, got {ttl!r}")
+    ttl = _validate_ttl(ttl)
     warmup = _check_warmup(warmup)
     times = trace.times
     n = times.size

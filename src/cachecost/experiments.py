@@ -14,6 +14,7 @@ import configparser
 import csv
 import io
 import math
+import operator
 import statistics
 import struct
 import zlib
@@ -22,7 +23,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,18 +32,20 @@ from .analytic import (
     MonteCarloSpec,
     PopulationModel,
     ZipfLaw,
+    _validate_ttl,
     global_ttl_cost,
     individual_ttl_cost,
     lower_bound_cost,
     optimal_global_ttl,
 )
-from .engine import CostLedger, cost_per_request, global_ttl_ledger, run
+from .engine import _check_warmup, cost_per_request, global_ttl_ledger, run
 from .policies import (
     IndividualTtlPolicy,
     LowerBoundPolicy,
     LruPolicy,
     PerfectRatePolicy,
 )
+from .presets import DEFAULT_MC_SAMPLES, DEFAULT_SEEDS
 from .workload import (
     Columns,
     Request,
@@ -82,8 +85,6 @@ class ConfigError(ValueError):
 
 POLICY_KINDS = ("global_ttl", "individual_ttl", "lower_bound", "lru", "known_rate")
 WORKLOAD_SOURCES = ("synthetic", "request_trace", "count_trace")
-
-SWEEP_AXES = ("ttl", "capacity", "window", "lambda")
 
 CSV_COLUMNS = (
     "policy",
@@ -153,32 +154,243 @@ class ExperimentConfig:
         return MonteCarloSpec(samples=self.mc_samples, seed=self.mc_seed)
 
 
-# --- parsing ---------------------------------------------------------------
+# --- the config keys -------------------------------------------------------
+#
+# Every `[section] key` is one row of `_KEYS`. parse_config walks the rows to
+# check a config, serialize_config walks them back to text, and sweeps and
+# the CLI's --seed set a key through the same rows, so each range rule is
+# written once. CostModel, ZipfLaw and MonteCarloSpec keep their own ranges;
+# the rows build them and report their ValueError as a ConfigError.
 
-_SECTION_KEYS = {
-    "population": {"movies", "movie_exponent", "ads", "ad_exponent", "lambda"},
-    "costs": {"storage_per_item_hour", "compute_per_item", "transmission_per_item"},
-    "policy": {"kind", "ttl", "window", "capacity"},
-    "workload": {"source", "duration", "path", "ad_catalog", "ad_exponent", "subsample"},
-    "run": {"seeds", "warmup"},
-    "monte_carlo": {"samples", "seed"},
+_REQUIRED = object()
+
+
+def _float(value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"not a number: {value!r}") from None
+
+
+def _int(value) -> int:
+    """An integer from its text or from an integral number, not from a bool."""
+    if isinstance(value, (float, np.floating)) and value.is_integer():
+        value = int(value)
+    try:
+        if not isinstance(value, bool):
+            return int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"not an integer: {value!r}")
+
+
+def _text(value) -> str:
+    return str(value).strip()
+
+
+def _seeds(value) -> tuple[int, ...]:
+    parts = value.replace(",", " ").split() if isinstance(value, str) else value
+    return tuple(_int(part) for part in parts)
+
+
+def _positive(value) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"must be positive and finite, got {value!r}")
+
+
+def _fraction(value) -> None:
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"must be in (0, 1], got {value!r}")
+
+
+def _seed_list(seeds) -> None:
+    if not seeds:
+        raise ValueError("must list at least one seed")
+    if any(seed < 0 for seed in seeds):
+        raise ValueError(f"seeds must be >= 0, got {seeds}")
+
+
+def _one_of(choices):
+    def rule(value) -> None:
+        if value not in choices:
+            raise ValueError(f"must be one of {choices}, got {value!r}")
+
+    return rule
+
+
+def _catalog(n) -> None:
+    ZipfLaw(n, 0.0)
+
+
+def _exponent(s) -> None:
+    ZipfLaw(1, s)
+
+
+class _Key(NamedTuple):
+    """One `[section] key`: its type, its range rule, the policy kinds or
+    workload sources it applies to (all when empty), its default and the
+    spec field it fills (the key's own name unless given)."""
+
+    section: str
+    key: str
+    convert: Callable
+    rule: "Callable | None" = None
+    only: tuple[str, ...] = ()
+    default: object = _REQUIRED
+    field: "str | None" = None
+
+
+_SYNTHETIC = ("synthetic",)
+_TRACES = ("request_trace", "count_trace")
+
+_KEYS = (
+    _Key("population", "movies", _int, _catalog),
+    _Key("population", "movie_exponent", _float, _exponent),
+    _Key("population", "ads", _int, _catalog),
+    _Key("population", "ad_exponent", _float, _exponent),
+    _Key("population", "lambda", _float, _positive, field="lambda_global"),
+    _Key("costs", "storage_per_item_hour", _float),
+    _Key("costs", "compute_per_item", _float),
+    _Key("costs", "transmission_per_item", _float),
+    _Key("policy", "kind", _text, _one_of(POLICY_KINDS)),
+    _Key("policy", "ttl", _float, _validate_ttl, ("global_ttl",)),
+    _Key("policy", "window", _float, _positive, ("individual_ttl",)),
+    _Key("policy", "capacity", _int, _positive, ("lru",)),
+    _Key("workload", "source", _text, _one_of(WORKLOAD_SOURCES)),
+    _Key("workload", "duration", _float, _positive, _SYNTHETIC),
+    _Key("workload", "path", _text, None, _TRACES),
+    _Key("workload", "ad_catalog", _int, _catalog, _TRACES, None),
+    _Key("workload", "ad_exponent", _float, _exponent, _TRACES, None),
+    _Key("workload", "subsample", _float, _fraction, ("count_trace",), None),
+    _Key("run", "seeds", _seeds, _seed_list, default=DEFAULT_SEEDS),
+    _Key("run", "warmup", _float, _check_warmup, default=0.0),
+    _Key("monte_carlo", "samples", _int, lambda n: MonteCarloSpec(n, 0),
+         default=DEFAULT_MC_SAMPLES, field="mc_samples"),
+    _Key("monte_carlo", "seed", _int, lambda s: MonteCarloSpec(1, s), default=0, field="mc_seed"),
+)
+_KEYS = tuple(row._replace(field=row.field or row.key) for row in _KEYS)
+_ROWS = {(row.section, row.key): row for row in _KEYS}
+_SECTIONS = {row.section for row in _KEYS}
+# Sections that build a spec held in the ExperimentConfig field of their
+# name; [run] and [monte_carlo] fill ExperimentConfig fields directly.
+_SPEC_SECTIONS = ("population", "costs", "policy", "workload")
+# The key whose value decides which of its section's keys apply; it is the
+# section's first row, so it is read before the keys it scopes.
+_SCOPE_KEY = {"policy": "kind", "workload": "source"}
+_SCOPE_NAMES = {
+    "synthetic": "a synthetic workload",
+    "request_trace": "request traces",
+    "count_trace": "count traces",
+}
+
+# sweep axis -> the [section] key it sets
+SWEEP_AXES = {
+    "ttl": ("policy", "ttl"),
+    "capacity": ("policy", "capacity"),
+    "window": ("policy", "window"),
+    "lambda": ("population", "lambda"),
 }
 
 
-def _get_float(section, key: str, where: str) -> float:
-    raw = section[key]
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{where}.{key}: not a number: {raw!r}") from None
+def _scope_name(value: str) -> str:
+    return _SCOPE_NAMES.get(value, f"kind {value!r}")
 
 
-def _get_int(section, key: str, where: str) -> int:
-    raw = section[key]
+def _convert(row: _Key, value):
     try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{where}.{key}: not an integer: {raw!r}") from None
+        value = row.convert(value)
+        if row.rule is not None:
+            row.rule(value)
+    except ValueError as err:
+        raise ConfigError(f"{row.section}.{row.key}: {err}") from None
+    return value
+
+
+def _get(cfg: ExperimentConfig, row: _Key):
+    holder = getattr(cfg, row.section) if row.section in _SPEC_SECTIONS else cfg
+    return None if holder is None else getattr(holder, row.field)
+
+
+def _build(given: "dict[str, dict]", base_dir: "str | Path | None" = None) -> ExperimentConfig:
+    """Check `{section: {key: text or value}}` against the key table."""
+    for section, keys in given.items():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in keys:
+            if (section, key) not in _ROWS:
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
+    for required in ("costs", "policy", "workload"):
+        if required not in given:
+            raise ConfigError(f"missing section [{required}]")
+
+    fields: dict[str, dict] = {}
+    for row in _KEYS:
+        if row.section == "population" and "population" not in given:
+            continue
+        keys = given.get(row.section, {})
+        values = fields.setdefault(row.section, {})
+        scope = values.get(_SCOPE_KEY.get(row.section))
+        applies = not row.only or scope in row.only
+        where = f"{row.section}.{row.key}"
+        if row.key in keys:
+            if not applies:
+                raise ConfigError(
+                    f"{where} does not apply to {_scope_name(scope)}; "
+                    f"only to {' or '.join(map(_scope_name, row.only))}"
+                )
+            values[row.field] = _convert(row, keys[row.key])
+        elif applies and row.default is _REQUIRED:
+            needed_by = f" for {_scope_name(scope)}" if row.only else ""
+            raise ConfigError(f"{where} is required{needed_by}")
+        elif applies:
+            values[row.field] = row.default
+
+    workload = fields["workload"]
+    if "path" in workload:
+        path = Path(workload["path"])
+        if base_dir is not None and not path.is_absolute():
+            path = Path(base_dir) / path
+        if not path.is_file():
+            raise ConfigError(f"workload.path does not exist: {path}")
+        workload["path"] = str(path)
+    try:
+        costs = CostModel(**fields["costs"])
+    except ValueError as err:
+        raise ConfigError(f"costs: {err}") from None
+    cfg = ExperimentConfig(
+        costs=costs,
+        policy=PolicySpec(**fields["policy"]),
+        workload=WorkloadSpec(**workload),
+        population=PopulationSpec(**fields["population"]) if "population" in fields else None,
+        **fields["run"],
+        **fields["monte_carlo"],
+    )
+
+    source = cfg.workload.source
+    if (cfg.workload.ad_catalog is None) != (cfg.workload.ad_exponent is None):
+        raise ConfigError("ad_catalog and ad_exponent must be given together")
+    if source == "count_trace" and cfg.workload.ad_catalog is None:
+        raise ConfigError("a count-trace workload requires ad_catalog and ad_exponent")
+    if source == "synthetic" and cfg.population is None:
+        raise ConfigError("a synthetic workload requires a [population] section")
+    if cfg.policy.kind == "known_rate" and source != "synthetic":
+        raise ConfigError("known_rate requires a synthetic workload (true rates are unknown otherwise)")
+    if source == "synthetic" and cfg.warmup >= cfg.workload.duration:
+        raise ConfigError(
+            f"run.warmup ({cfg.warmup}) must be smaller than "
+            f"workload.duration ({cfg.workload.duration})"
+        )
+    return cfg
+
+
+def _values(cfg: ExperimentConfig) -> "dict[str, dict]":
+    """`{section: {key: value}}` of a config; unset keys are left out."""
+    given: dict[str, dict] = {}
+    for row in _KEYS:
+        value = _get(cfg, row)
+        if value is not None:
+            given.setdefault(row.section, {})[row.key] = value
+    return given
 
 
 def parse_config(text: str, *, base_dir: "str | Path | None" = None) -> ExperimentConfig:
@@ -188,190 +400,8 @@ def parse_config(text: str, *, base_dir: "str | Path | None" = None) -> Experime
         parser.read_string(text)
     except configparser.Error as err:
         raise ConfigError(f"unparseable config: {err}") from None
-
-    for section in parser.sections():
-        if section not in _SECTION_KEYS:
-            raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _SECTION_KEYS[section]:
-                raise ConfigError(f"unknown key {key!r} in [{section}]")
-
-    for required in ("costs", "policy", "workload"):
-        if required not in parser:
-            raise ConfigError(f"missing section [{required}]")
-
-    sec = parser["costs"]
-    for key in sorted(_SECTION_KEYS["costs"]):
-        if key not in sec:
-            raise ConfigError(f"costs.{key} is required")
-    try:
-        costs = CostModel(
-            storage_per_item_hour=_get_float(sec, "storage_per_item_hour", "costs"),
-            compute_per_item=_get_float(sec, "compute_per_item", "costs"),
-            transmission_per_item=_get_float(sec, "transmission_per_item", "costs"),
-        )
-    except ValueError as err:
-        raise ConfigError(f"costs: {err}") from None
-
-    population = None
-    if "population" in parser:
-        sec = parser["population"]
-        for key in sorted(_SECTION_KEYS["population"]):
-            if key not in sec:
-                raise ConfigError(f"population.{key} is required")
-        population = PopulationSpec(
-            movies=_get_int(sec, "movies", "population"),
-            movie_exponent=_get_float(sec, "movie_exponent", "population"),
-            ads=_get_int(sec, "ads", "population"),
-            ad_exponent=_get_float(sec, "ad_exponent", "population"),
-            lambda_global=_get_float(sec, "lambda", "population"),
-        )
-        try:
-            ZipfLaw(population.movies, population.movie_exponent)
-            ZipfLaw(population.ads, population.ad_exponent)
-            if not (math.isfinite(population.lambda_global) and population.lambda_global > 0):
-                raise ValueError(f"lambda must be positive, got {population.lambda_global}")
-        except ValueError as err:
-            raise ConfigError(f"population: {err}") from None
-
-    sec = parser["policy"]
-    if "kind" not in sec:
-        raise ConfigError("policy.kind is required")
-    kind = sec["kind"].strip()
-    if kind not in POLICY_KINDS:
-        raise ConfigError(f"policy.kind must be one of {POLICY_KINDS}, got {kind!r}")
-    wants = {"global_ttl": "ttl", "individual_ttl": "window", "lru": "capacity"}.get(kind)
-    for key in ("ttl", "window", "capacity"):
-        if key in sec and key != wants:
-            raise ConfigError(f"policy.{key} does not apply to kind {kind!r}")
-    policy = PolicySpec(kind=kind)
-    if kind == "global_ttl":
-        if "ttl" not in sec:
-            raise ConfigError("policy.ttl is required for global_ttl")
-        ttl = _get_float(sec, "ttl", "policy")
-        if math.isnan(ttl) or ttl < 0:
-            raise ConfigError(f"policy.ttl must be >= 0, got {ttl}")
-        policy = PolicySpec(kind=kind, ttl=ttl)
-    elif kind == "individual_ttl":
-        if "window" not in sec:
-            raise ConfigError("policy.window is required for individual_ttl")
-        window = _get_float(sec, "window", "policy")
-        if not (math.isfinite(window) and window > 0):
-            raise ConfigError(f"policy.window must be positive, got {window}")
-        policy = PolicySpec(kind=kind, window=window)
-    elif kind == "lru":
-        if "capacity" not in sec:
-            raise ConfigError("policy.capacity is required for lru")
-        capacity = _get_int(sec, "capacity", "policy")
-        if capacity < 1:
-            raise ConfigError(f"policy.capacity must be >= 1, got {capacity}")
-        policy = PolicySpec(kind=kind, capacity=capacity)
-
-    sec = parser["workload"]
-    if "source" not in sec:
-        raise ConfigError("workload.source is required")
-    source = sec["source"].strip()
-    if source not in WORKLOAD_SOURCES:
-        raise ConfigError(f"workload.source must be one of {WORKLOAD_SOURCES}, got {source!r}")
-    workload = WorkloadSpec(source=source)
-    if source == "synthetic":
-        for key in ("path", "subsample", "ad_catalog", "ad_exponent"):
-            if key in sec:
-                raise ConfigError(f"workload.{key} does not apply to a synthetic workload")
-        if "duration" not in sec:
-            raise ConfigError("workload.duration is required for a synthetic workload")
-        duration = _get_float(sec, "duration", "workload")
-        if not (math.isfinite(duration) and duration > 0):
-            raise ConfigError(f"workload.duration must be positive, got {duration}")
-        if population is None:
-            raise ConfigError("a synthetic workload requires a [population] section")
-        workload = WorkloadSpec(source=source, duration=duration)
-    else:
-        if "duration" in sec:
-            raise ConfigError("workload.duration only applies to a synthetic workload")
-        if "path" not in sec:
-            raise ConfigError(f"workload.path is required for source {source!r}")
-        raw_path = sec["path"].strip()
-        path = Path(raw_path)
-        if base_dir is not None and not path.is_absolute():
-            path = Path(base_dir) / path
-        if not path.is_file():
-            raise ConfigError(f"workload.path does not exist: {path}")
-        ad_catalog = ad_exponent = None
-        if ("ad_catalog" in sec) != ("ad_exponent" in sec):
-            raise ConfigError("ad_catalog and ad_exponent must be given together")
-        if "ad_catalog" in sec:
-            ad_catalog = _get_int(sec, "ad_catalog", "workload")
-            ad_exponent = _get_float(sec, "ad_exponent", "workload")
-            try:
-                ZipfLaw(ad_catalog, ad_exponent)
-            except ValueError as err:
-                raise ConfigError(f"workload: {err}") from None
-        subsample = None
-        if "subsample" in sec:
-            if source != "count_trace":
-                raise ConfigError("workload.subsample only applies to count traces")
-            subsample = _get_float(sec, "subsample", "workload")
-            if not 0.0 < subsample <= 1.0:
-                raise ConfigError(f"workload.subsample must be in (0, 1], got {subsample}")
-        if source == "count_trace" and ad_catalog is None:
-            raise ConfigError("a count-trace workload requires ad_catalog and ad_exponent")
-        workload = WorkloadSpec(
-            source=source,
-            path=str(path),
-            ad_catalog=ad_catalog,
-            ad_exponent=ad_exponent,
-            subsample=subsample,
-        )
-
-    seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
-    warmup = 0.0
-    if "run" in parser:
-        sec = parser["run"]
-        if "seeds" in sec:
-            parts = sec["seeds"].replace(",", " ").split()
-            if not parts:
-                raise ConfigError("run.seeds must list at least one seed")
-            try:
-                seeds = tuple(int(p) for p in parts)
-            except ValueError:
-                raise ConfigError(f"run.seeds: not integers: {sec['seeds']!r}") from None
-            if any(s < 0 for s in seeds):
-                raise ConfigError("run.seeds must be >= 0")
-        if "warmup" in sec:
-            warmup = _get_float(sec, "warmup", "run")
-            if not (math.isfinite(warmup) and warmup >= 0):
-                raise ConfigError(f"run.warmup must be finite and >= 0, got {warmup}")
-    if workload.source == "synthetic" and warmup >= workload.duration:
-        raise ConfigError(
-            f"run.warmup ({warmup}) must be smaller than workload.duration ({workload.duration})"
-        )
-
-    mc_samples, mc_seed = 25_000, 0
-    if "monte_carlo" in parser:
-        sec = parser["monte_carlo"]
-        if "samples" in sec:
-            mc_samples = _get_int(sec, "samples", "monte_carlo")
-        if "seed" in sec:
-            mc_seed = _get_int(sec, "seed", "monte_carlo")
-        try:
-            MonteCarloSpec(samples=mc_samples, seed=mc_seed)
-        except ValueError as err:
-            raise ConfigError(f"monte_carlo: {err}") from None
-
-    if policy.kind == "known_rate" and workload.source != "synthetic":
-        raise ConfigError("known_rate requires a synthetic workload (true rates are unknown otherwise)")
-
-    return ExperimentConfig(
-        costs=costs,
-        policy=policy,
-        workload=workload,
-        population=population,
-        seeds=seeds,
-        warmup=warmup,
-        mc_samples=mc_samples,
-        mc_seed=mc_seed,
-    )
+    given = {section: dict(parser.items(section, raw=True)) for section in parser.sections()}
+    return _build(given, base_dir)
 
 
 def load_config(path: "str | Path") -> ExperimentConfig:
@@ -387,46 +417,30 @@ def load_config(path: "str | Path") -> ExperimentConfig:
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Render a config back to its text form; parse round-trips exactly."""
     parser = configparser.ConfigParser(interpolation=None)
-    if cfg.population is not None:
-        parser["population"] = {
-            "movies": str(cfg.population.movies),
-            "movie_exponent": repr(cfg.population.movie_exponent),
-            "ads": str(cfg.population.ads),
-            "ad_exponent": repr(cfg.population.ad_exponent),
-            "lambda": repr(cfg.population.lambda_global),
+    for section, values in _values(cfg).items():
+        parser[section] = {
+            key: ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            for key, value in values.items()
         }
-    parser["costs"] = {
-        "storage_per_item_hour": repr(cfg.costs.storage_per_item_hour),
-        "compute_per_item": repr(cfg.costs.compute_per_item),
-        "transmission_per_item": repr(cfg.costs.transmission_per_item),
-    }
-    pol = {"kind": cfg.policy.kind}
-    if cfg.policy.ttl is not None:
-        pol["ttl"] = repr(cfg.policy.ttl)
-    if cfg.policy.window is not None:
-        pol["window"] = repr(cfg.policy.window)
-    if cfg.policy.capacity is not None:
-        pol["capacity"] = str(cfg.policy.capacity)
-    parser["policy"] = pol
-    wl = {"source": cfg.workload.source}
-    if cfg.workload.duration is not None:
-        wl["duration"] = repr(cfg.workload.duration)
-    if cfg.workload.path is not None:
-        wl["path"] = cfg.workload.path
-    if cfg.workload.ad_catalog is not None:
-        wl["ad_catalog"] = str(cfg.workload.ad_catalog)
-        wl["ad_exponent"] = repr(cfg.workload.ad_exponent)
-    if cfg.workload.subsample is not None:
-        wl["subsample"] = repr(cfg.workload.subsample)
-    parser["workload"] = wl
-    parser["run"] = {
-        "seeds": ",".join(str(s) for s in cfg.seeds),
-        "warmup": repr(cfg.warmup),
-    }
-    parser["monte_carlo"] = {"samples": str(cfg.mc_samples), "seed": str(cfg.mc_seed)}
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()
+
+
+def override(cfg: ExperimentConfig, section: str, key: str, value) -> ExperimentConfig:
+    """`cfg` with `[section] key` set to `value`, checked as in a config file."""
+    given = _values(cfg)
+    given.setdefault(section, {})[key] = value
+    return _build(given)
+
+
+def _grid(section: str, key: str, grid: Sequence) -> list:
+    """Grid values converted and range-checked by the `[section] key` row."""
+    row = _ROWS[section, key]
+    try:
+        return [_convert(row, value) for value in grid]
+    except ConfigError as err:
+        raise ConfigError(f"bad grid value: {err}") from None
 
 
 # --- workload assembly -----------------------------------------------------
@@ -544,13 +558,9 @@ class ResultRow:
 
 
 def _policy_param(cfg: ExperimentConfig) -> tuple[str, "float | int | str"]:
-    p = cfg.policy
-    if p.kind == "global_ttl":
-        return "ttl", p.ttl
-    if p.kind == "individual_ttl":
-        return "window", p.window
-    if p.kind == "lru":
-        return "capacity", p.capacity
+    for row in _KEYS:
+        if row.section == "policy" and cfg.policy.kind in row.only:
+            return row.key, _get(cfg, row)
     return "", ""
 
 
@@ -665,38 +675,6 @@ def run_experiment(cfg: ExperimentConfig, *, jobs: int = 1) -> list[ResultRow]:
     return rows
 
 
-def _apply_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    if axis == "ttl":
-        if cfg.policy.kind != "global_ttl":
-            raise ConfigError("a ttl sweep requires policy.kind = global_ttl")
-        v = float(value)
-        if math.isnan(v) or v < 0:
-            raise ConfigError(f"ttl grid values must be >= 0, got {value}")
-        return replace(cfg, policy=replace(cfg.policy, ttl=v))
-    if axis == "window":
-        if cfg.policy.kind != "individual_ttl":
-            raise ConfigError("a window sweep requires policy.kind = individual_ttl")
-        v = float(value)
-        if not (math.isfinite(v) and v > 0):
-            raise ConfigError(f"window grid values must be positive, got {value}")
-        return replace(cfg, policy=replace(cfg.policy, window=v))
-    if axis == "capacity":
-        if cfg.policy.kind != "lru":
-            raise ConfigError("a capacity sweep requires policy.kind = lru")
-        v = int(value)
-        if v < 1:
-            raise ConfigError(f"capacity grid values must be >= 1, got {value}")
-        return replace(cfg, policy=replace(cfg.policy, capacity=v))
-    if axis == "lambda":
-        if cfg.workload.source != "synthetic":
-            raise ConfigError("a lambda sweep requires a synthetic workload")
-        v = float(value)
-        if not (math.isfinite(v) and v > 0):
-            raise ConfigError(f"lambda grid values must be positive, got {value}")
-        return replace(cfg, population=replace(cfg.population, lambda_global=v))
-    raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-
-
 def sweep(
     cfg: ExperimentConfig, axis: str, grid: Sequence, *, jobs: int = 1
 ) -> list[ResultRow]:
@@ -706,14 +684,21 @@ def sweep(
     workload every point replays the identical trace per seed (the
     trace_checksum column proves it). The final row, seed = "argmin",
     repeats the grid point with the lowest mean cost; ties resolve to the
-    smaller parameter value.
+    smaller parameter value. Grid values obey the rules of the config key
+    the axis sets (SWEEP_AXES).
     """
     if len(grid) == 0:
         raise ConfigError("sweep grid must not be empty")
-    points = [_apply_axis(cfg, axis, value) for value in grid]
-    values = [
-        (int(v) if axis == "capacity" else float(v)) for v in grid
-    ]
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {tuple(SWEEP_AXES)}")
+    section, key = SWEEP_AXES[axis]
+    kinds = _ROWS[section, key].only
+    if kinds and cfg.policy.kind not in kinds:
+        raise ConfigError(f"a {axis} sweep requires policy.kind = {' or '.join(kinds)}")
+    if axis == "lambda" and cfg.workload.source != "synthetic":
+        raise ConfigError("a lambda sweep requires a synthetic workload")
+    values = _grid(section, key, grid)
+    points = [override(cfg, section, key, value) for value in values]
     tasks = []
     for point_cfg, value in zip(points, values):
         for seed in point_cfg.seeds:
@@ -749,29 +734,18 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def emit_csv(rows: Iterable[ResultRow], destination) -> None:
-    """Write rows in the fixed column order; byte-stable for fixed inputs."""
+def emit_csv(
+    rows: "Iterable[ResultRow | dict]", destination, columns: Sequence[str] = CSV_COLUMNS
+) -> None:
+    """Write `ResultRow`s or dict rows under a fixed header; byte-stable for
+    fixed inputs. `destination` is an open text file or a path."""
 
     def _write(handle) -> None:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow(
-                [
-                    row.policy,
-                    row.param_name,
-                    _fmt(row.param_value),
-                    row.seed,
-                    _fmt(row.requests),
-                    _fmt(row.hits),
-                    _fmt(row.cost_per_request),
-                    _fmt(row.compute_d),
-                    _fmt(row.storage_d),
-                    _fmt(row.transmission_d),
-                    row.trace_checksum,
-                    _fmt(row.cost_sd),
-                ]
-            )
+            cells = row if isinstance(row, dict) else vars(row)
+            writer.writerow([_fmt(cells[c]) for c in columns])
 
     if hasattr(destination, "write"):
         _write(destination)
@@ -796,10 +770,14 @@ def analytic_table(
     the grid argmin. With a lambda grid: the argmin search repeated at each
     rate (population otherwise unchanged).
     """
+    if ttl_grid is not None:
+        ttl_grid = _grid("policy", "ttl", ttl_grid)
+    if lambda_grid is not None:
+        lambda_grid = _grid("population", "lambda", lambda_grid)
     pm = cfg.population_model()
     mc = cfg.monte_carlo()
     rows: list[dict] = []
-    base_ttls = list(ttl_grid) if ttl_grid is not None else [30.0 * k for k in range(21)]
+    base_ttls = ttl_grid if ttl_grid is not None else [30.0 * k for k in range(21)]
     if ttl_grid is not None:
         for ttl in ttl_grid:
             cost = global_ttl_cost(pm, ttl, cfg.costs, mc)
@@ -807,8 +785,8 @@ def analytic_table(
                 {
                     "evaluator": "global_ttl",
                     "param_name": "ttl",
-                    "param_value": float(ttl),
-                    "ttl": float(ttl),
+                    "param_value": ttl,
+                    "ttl": ttl,
                     "cost_per_request": cost,
                 }
             )
@@ -842,9 +820,6 @@ def analytic_table(
     )
     if lambda_grid is not None:
         for lam in lambda_grid:
-            lam = float(lam)
-            if not (math.isfinite(lam) and lam > 0):
-                raise ConfigError(f"lambda grid values must be positive, got {lam}")
             pm_l = PopulationModel(movies=pm.movies, ads=pm.ads, lambda_global=lam)
             best_ttl, best_cost = optimal_global_ttl(pm_l, cfg.costs, mc, base_ttls)
             rows.append(
@@ -907,19 +882,3 @@ def validation_report(cfg: ExperimentConfig, *, jobs: int = 1) -> list[dict]:
             "seeds": len(cfg.seeds),
         }
     ]
-
-
-def emit_dict_csv(rows: Iterable[dict], columns: Sequence[str], destination) -> None:
-    """Write dict rows under a fixed header; used by the report tables."""
-
-    def _write(handle) -> None:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) if not isinstance(row[c], str) else row[c] for c in columns])
-
-    if hasattr(destination, "write"):
-        _write(destination)
-    else:
-        with open(destination, "w", encoding="utf-8", newline="") as handle:
-            _write(handle)

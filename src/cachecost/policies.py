@@ -13,7 +13,7 @@ import math
 from collections import OrderedDict, deque
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .analytic import CostModel
+from .analytic import CostModel, _validate_ttl, keeps
 from .workload import ItemId, Request
 
 __all__ = [
@@ -62,10 +62,7 @@ class GlobalTtlPolicy:
     """
 
     def __init__(self, ttl: float):
-        ttl = float(ttl)
-        if math.isnan(ttl) or ttl < 0.0:
-            raise ValueError(f"ttl must be >= 0, got {ttl!r}")
-        self.ttl = ttl
+        self.ttl = _validate_ttl(ttl)
         self._deadline: dict[ItemId, float] = {}
         self._clock = -math.inf
 
@@ -166,7 +163,6 @@ class PerfectRatePolicy:
     def __init__(self, costs: CostModel, rate_of: Callable[[ItemId], float]):
         self.costs = costs
         self._rate_of = rate_of
-        self._threshold = costs.break_even_rate()
         self._resident: set[ItemId] = set()
         self._clock = -math.inf
 
@@ -174,7 +170,7 @@ class PerfectRatePolicy:
         now = _check_clock(self, now)
         if item in self._resident:
             return PolicyVerdict(True, math.inf)
-        if self._rate_of(item) > self._threshold:
+        if keeps(self._rate_of(item), self.costs):
             self._resident.add(item)
             return PolicyVerdict(False, math.inf)
         return PolicyVerdict(False, None)

@@ -28,11 +28,6 @@ MOVIE_EXPONENT = 0.8
 AD_CATALOG = 5_000
 AD_EXPONENT = 0.94
 
-# Alternate, smaller and slightly flatter ad inventory kept as a named
-# variant; the large catalog above is the default everywhere.
-SMALL_AD_CATALOG = 500
-SMALL_AD_EXPONENT = 0.91
-
 DEFAULT_MC_SAMPLES = 25_000
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
 
@@ -45,17 +40,11 @@ def default_cost_model() -> CostModel:
     )
 
 
-def default_population(
-    lambda_global: float, *, small_ad_catalog: bool = False
-) -> PopulationModel:
+def default_population(lambda_global: float) -> PopulationModel:
     """Movie/ad population at the given global request rate (1/h)."""
-    if small_ad_catalog:
-        ads = ZipfLaw(SMALL_AD_CATALOG, SMALL_AD_EXPONENT)
-    else:
-        ads = ZipfLaw(AD_CATALOG, AD_EXPONENT)
     return PopulationModel(
         movies=ZipfLaw(MOVIE_CATALOG, MOVIE_EXPONENT),
-        ads=ads,
+        ads=ZipfLaw(AD_CATALOG, AD_EXPONENT),
         lambda_global=lambda_global,
     )
 

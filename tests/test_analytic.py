@@ -16,10 +16,10 @@ from cachecost.analytic import (
     harmonic,
     individual_ttl_cost,
     keep_decision,
+    keeps,
     lower_bound_cost,
     optimal_global_ttl,
     sample_item_rates,
-    zipf_pmf,
 )
 from cachecost.presets import default_cost_model, default_population
 
@@ -112,25 +112,25 @@ def test_harmonic_rejects_bad_arguments():
 
 
 def test_zipf_pmf_degenerate_catalog():
-    assert zipf_pmf(ZipfLaw(1, 3.7), 1) == 1.0
+    assert ZipfLaw(1, 3.7).pmf(1) == 1.0
 
 
 def test_zipf_pmf_two_ranks_by_hand():
     law = ZipfLaw(2, 1.0)
-    assert zipf_pmf(law, 1) == pytest.approx(2.0 / 3.0, rel=1e-12)
-    assert zipf_pmf(law, 2) == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert law.pmf(1) == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert law.pmf(2) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def test_zipf_pmf_top_rank_is_reciprocal_harmonic():
     law = ZipfLaw(10_000, 0.8)
-    assert zipf_pmf(law, 1) == pytest.approx(1.0 / harmonic(10_000, 0.8), rel=1e-12)
+    assert law.pmf(1) == pytest.approx(1.0 / harmonic(10_000, 0.8), rel=1e-12)
 
 
 def test_zipf_pmf_rejects_out_of_range_rank():
     law = ZipfLaw(100, 0.8)
     for rank in (0, -1, 101):
         with pytest.raises(ValueError):
-            zipf_pmf(law, rank)
+            law.pmf(rank)
 
 
 @pytest.mark.parametrize("n,s", [(10_000, 0.8), (5_000, 0.94), (500, 0.91), (7, 0.0)])
@@ -324,6 +324,17 @@ def test_individual_ttl_cost_all_items_below_threshold():
     assert individual_ttl_cost(pm, COSTS, _spec(samples=500)) == pytest.approx(
         C + X, rel=1e-12
     )
+
+
+def test_break_even_tie_never_caches_in_every_evaluator():
+    costs = CostModel(2e-7, 7e-4, 0.0)
+    rate = costs.break_even_rate()
+    one = ZipfLaw(1, 0.0)
+    pm = PopulationModel(one, one, rate)
+    assert not keeps(rate, costs)
+    assert keep_decision(rate, costs) is KeepDecision.NEVER_CACHE
+    # recompute on every request, not S / rate (7.000000000000001e-4)
+    assert individual_ttl_cost(pm, costs, MonteCarloSpec(1, 0)) == 7e-4
 
 
 def test_individual_ttl_cost_single_hot_item():

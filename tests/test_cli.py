@@ -122,6 +122,14 @@ def test_analytic_table_csv(config_file, capsys):
     assert rows[-1]["evaluator"] == "lower_bound"
 
 
+@pytest.mark.parametrize("grid", ["--ttl-grid=0,fast", "--ttl-grid=-5", "--lambda-grid=0"])
+def test_analytic_bad_grid_value_is_config_error(config_file, capsys, grid):
+    assert main(["analytic", "--config", config_file, grid]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad grid value")
+    assert err.count("\n") == 1
+
+
 def test_validate_reports_relative_error(config_file, capsys):
     assert main(["validate", "--config", config_file]) == EXIT_OK
     out = capsys.readouterr().out

@@ -6,6 +6,7 @@ import io
 import math
 import statistics
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +20,6 @@ from cachecost.experiments import (
     analytic_table,
     build_requests,
     emit_csv,
-    emit_dict_csv,
     load_config,
     parse_config,
     run_experiment,
@@ -56,6 +56,9 @@ duration = 30.0
 seeds = 1,2,3
 warmup = 0.0
 """
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _cfg(text=SMALL_SYNTH, **kwargs):
@@ -109,6 +112,12 @@ capacity = 4
 source = request_trace
 path = {trace}
 """)
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.ini")))
+def test_bundled_config_round_trips(name):
+    cfg = load_config(CONFIGS / name)
     assert parse_config(serialize_config(cfg)) == cfg
 
 
@@ -495,6 +504,46 @@ def test_sweep_rejects_mismatched_axes(axis, grid, pattern):
         sweep(_cfg(), axis, grid)
 
 
+def _axis_config(axis, value):
+    """SMALL_SYNTH with the key that `axis` sweeps set to `value`."""
+    policy = {
+        "ttl": "kind = global_ttl\nttl = {}",
+        "window": "kind = individual_ttl\nwindow = {}",
+        "capacity": "kind = lru\ncapacity = {}",
+        "lambda": "kind = global_ttl\nttl = 60.0",
+    }[axis]
+    text = SMALL_SYNTH.replace("kind = global_ttl\nttl = 60.0", policy)
+    if axis == "lambda":
+        text = text.replace("lambda = 40.0", "lambda = {}")
+    return text.format(value)
+
+
+@pytest.mark.parametrize(
+    "axis,bad",
+    [
+        ("ttl", math.nan),
+        ("ttl", -1),
+        ("window", 0),
+        ("window", math.inf),
+        ("window", math.nan),
+        ("capacity", 0),
+        ("capacity", 4.5),
+        ("capacity", True),
+        ("lambda", 0),
+        ("lambda", -1),
+        ("lambda", math.inf),
+        ("lambda", math.nan),
+    ],
+)
+def test_sweep_rejects_what_the_config_key_rejects(axis, bad):
+    good = {"ttl": 60.0, "window": 100.0, "capacity": 10, "lambda": 40.0}[axis]
+    cfg = _cfg(_axis_config(axis, good))
+    with pytest.raises(ConfigError):
+        _cfg(_axis_config(axis, bad))
+    with pytest.raises(ConfigError):
+        sweep(cfg, axis, [bad])
+
+
 def test_lambda_sweep_requires_synthetic(tmp_path):
     trace = tmp_path / "t.csv"
     trace.write_text("0.0,1,1\n")
@@ -646,5 +695,5 @@ path = {trace}
 def test_emit_dict_csv_writes_fixed_columns():
     rows = [{"a": 1, "b": "x", "c": 0.5}, {"a": 2, "b": "", "c": None}]
     buf = io.StringIO()
-    emit_dict_csv(rows, ("a", "b", "c"), buf)
+    emit_csv(rows, buf, ("a", "b", "c"))
     assert buf.getvalue() == "a,b,c\n1,x,0.5\n2,,\n"
