@@ -16,7 +16,6 @@ import io
 import math
 import operator
 import statistics
-import struct
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -44,20 +43,22 @@ from .policies import (
     LowerBoundPolicy,
     LruPolicy,
     PerfectRatePolicy,
+    next_request_times,
 )
 from .presets import DEFAULT_MC_SAMPLES, DEFAULT_SEEDS
 from .workload import (
     Columns,
     Request,
     TraceFormatError,
-    collect_columns,
-    gen_synthetic,
+    _synthetic_blocks,
+    blocks_of,
+    columns_of,
     overlay_ads,
     parse_count_trace,
     parse_request_trace,
+    requests_of,
     subsample_records,
     synthesize_from_counts,
-    synthetic_columns,
 )
 
 __all__ = [
@@ -436,6 +437,8 @@ def override(cfg: ExperimentConfig, section: str, key: str, value) -> Experiment
 
 def _grid(section: str, key: str, grid: Sequence) -> list:
     """Grid values converted and range-checked by the `[section] key` row."""
+    if len(grid) == 0:
+        raise ConfigError(f"{section}.{key}: grid must not be empty")
     row = _ROWS[section, key]
     try:
         return [_convert(row, value) for value in grid]
@@ -444,36 +447,6 @@ def _grid(section: str, key: str, grid: Sequence) -> list:
 
 
 # --- workload assembly -----------------------------------------------------
-
-_PACKER = struct.Struct("<dqq")
-
-
-class _ChecksumStream:
-    """Pass-through request iterator that crc32-folds each record."""
-
-    def __init__(self, requests: Iterable[Request]):
-        self._requests = requests
-        self.crc = 0
-        self.count = 0
-        self.last_time: "float | None" = None
-
-    def __iter__(self) -> Iterator[Request]:
-        pack = _PACKER.pack
-        crc = 0
-        count = 0
-        time = None
-        for req in self._requests:
-            time, (movie, ad) = req
-            crc = zlib.crc32(pack(time, movie, -1 if ad is None else ad), crc)
-            count += 1
-            yield req
-        self.crc = crc
-        self.count = count
-        self.last_time = time
-
-    @property
-    def hexdigest(self) -> str:
-        return format(self.crc & 0xFFFFFFFF, "08x")
 
 
 def _file_lines(path: str) -> Iterator[str]:
@@ -486,39 +459,36 @@ def _trace_child_seeds(seed: int) -> tuple[int, int, int]:
     return sub, synth, overlay
 
 
-def build_requests(cfg: ExperimentConfig, seed: int) -> Iterator[Request]:
-    """The request stream of one run, fully determined by (cfg, seed)."""
+def build_trace(cfg: ExperimentConfig, seed: int) -> Iterator[Columns]:
+    """The trace of one run as `Columns` blocks, fully determined by (cfg, seed)."""
     source = cfg.workload.source
     if source == "synthetic":
-        return gen_synthetic(cfg.population_model(), cfg.workload.duration, seed)
+        return _synthetic_blocks(cfg.population_model(), cfg.workload.duration, seed)
     sub_seed, synth_seed, overlay_seed = _trace_child_seeds(seed)
     if source == "count_trace":
         records = parse_count_trace(_file_lines(cfg.workload.path))
         if cfg.workload.subsample is not None:
             records = subsample_records(records, cfg.workload.subsample, sub_seed)
-        stream = synthesize_from_counts(records, synth_seed)
-        law = ZipfLaw(cfg.workload.ad_catalog, cfg.workload.ad_exponent)
-        return overlay_ads(stream, law, overlay_seed)
-    # request trace: overlay only when the file carries no ad ids
-    stream = parse_request_trace(_file_lines(cfg.workload.path))
-    iterator = iter(stream)
-    try:
-        first = next(iterator)
-    except StopIteration:
-        return iter(())
-    rest = chain([first], iterator)
-    if first.item.ad is not None:
-        return rest
-    if cfg.workload.ad_catalog is None:
-        raise TraceFormatError(
-            "trace has no ad ids and no ad overlay is configured "
-            "(set workload.ad_catalog and workload.ad_exponent)"
-        )
+        blocks = blocks_of(synthesize_from_counts(records, synth_seed))
+    else:
+        # request trace: overlay only when the file carries no ad ids
+        blocks = blocks_of(parse_request_trace(_file_lines(cfg.workload.path)))
+        first = next(blocks, None)
+        if first is None:
+            return iter(())
+        blocks = chain([first], blocks)
+        if first.ads[0] != -1:
+            return blocks
+        if cfg.workload.ad_catalog is None:
+            raise TraceFormatError(
+                "trace has no ad ids and no ad overlay is configured "
+                "(set workload.ad_catalog and workload.ad_exponent)"
+            )
     law = ZipfLaw(cfg.workload.ad_catalog, cfg.workload.ad_exponent)
-    return overlay_ads(rest, law, overlay_seed)
+    return overlay_ads(blocks, law, overlay_seed)
 
 
-def _build_policy(cfg: ExperimentConfig, requests: "Sequence[Request] | None"):
+def _build_policy(cfg: ExperimentConfig, requests: Iterable[Request]):
     kind = cfg.policy.kind
     if kind == "individual_ttl":
         return IndividualTtlPolicy(cfg.policy.window, cfg.costs)
@@ -535,9 +505,7 @@ def _build_policy(cfg: ExperimentConfig, requests: "Sequence[Request] | None"):
 
         return PerfectRatePolicy(cfg.costs, rate_of)
     if kind == "lower_bound":
-        if requests is None:
-            raise ValueError("lower_bound needs the materialized trace")
-        return LowerBoundPolicy.for_trace(cfg.costs, requests)
+        return LowerBoundPolicy(cfg.costs, next_request_times(requests))
     raise ConfigError(f"unknown policy kind {kind!r}")
 
 
@@ -564,18 +532,14 @@ def _policy_param(cfg: ExperimentConfig) -> tuple[str, "float | int | str"]:
     return "", ""
 
 
-def _trace_columns(cfg: ExperimentConfig, seed: int) -> Columns:
-    """The trace of `build_requests(cfg, seed)` as columns."""
-    if cfg.workload.source == "synthetic":
-        return synthetic_columns(cfg.population_model(), cfg.workload.duration, seed)
-    return collect_columns(build_requests(cfg, seed))
+_RECORD = np.dtype([("t", "<f8"), ("m", "<i8"), ("a", "<i8")])
 
 
-def _column_checksum(trace: Columns) -> str:
-    """crc32 of the packed records; equals `_ChecksumStream.hexdigest`."""
-    records = np.empty(trace.times.size, dtype=[("t", "<f8"), ("m", "<i8"), ("a", "<i8")])
-    records["t"], records["m"], records["a"] = trace
-    return format(zlib.crc32(records) & 0xFFFFFFFF, "08x")
+def _checksum(block: Columns, crc: int) -> int:
+    """`crc` folded with crc32 over the block's packed `<dqq` records."""
+    records = np.empty(block.times.size, dtype=_RECORD)
+    records["t"], records["m"], records["a"] = block
+    return zlib.crc32(records, crc)
 
 
 def _run_single(
@@ -583,23 +547,29 @@ def _run_single(
 ) -> ResultRow:
     """One (config, seed) simulation producing one CSV row.
 
-    Global TTL is priced from columns; the other policies replay the
-    request stream through the event engine.
+    The trace streams through as blocks, each folded into the checksum as
+    it passes. Global TTL is priced from the blocks concatenated into
+    columns; the other policies replay its requests through the event
+    engine, and the clairvoyant floor holds them all to look ahead.
     """
+    crc, last_time = 0, None
+
+    def checked(blocks: Iterator[Columns]) -> Iterator[Columns]:
+        nonlocal crc, last_time
+        for block in blocks:
+            crc = _checksum(block, crc)
+            if block.times.size:
+                last_time = float(block.times[-1])
+            yield block
+
+    trace = checked(build_trace(cfg, seed))
     if cfg.policy.kind == "global_ttl":
-        trace = _trace_columns(cfg, seed)
-        checksum = _column_checksum(trace)
-        ledger = global_ttl_ledger(trace, cfg.policy.ttl, cfg.costs, warmup=cfg.warmup)
-        last_time = float(trace.times[-1]) if trace.times.size else None
+        ledger = global_ttl_ledger(columns_of(trace), cfg.policy.ttl, cfg.costs, warmup=cfg.warmup)
     else:
-        checker = _ChecksumStream(build_requests(cfg, seed))
+        requests = requests_of(trace)
         if cfg.policy.kind == "lower_bound":
-            requests = list(checker)
-            ledger = run(requests, _build_policy(cfg, requests), cfg.costs, warmup=cfg.warmup)
-        else:
-            ledger = run(iter(checker), _build_policy(cfg, None), cfg.costs, warmup=cfg.warmup)
-        checksum = checker.hexdigest
-        last_time = checker.last_time
+            requests = list(requests)
+        ledger = run(requests, _build_policy(cfg, requests), cfg.costs, warmup=cfg.warmup)
     if ledger.requests == 0:
         if last_time is None:
             raise TraceFormatError("the trace holds no requests")
@@ -619,7 +589,7 @@ def _run_single(
         compute_d=ledger.compute_dollars,
         storage_d=ledger.storage_dollars,
         transmission_d=ledger.transmission_dollars,
-        trace_checksum=checksum,
+        trace_checksum=format(crc & 0xFFFFFFFF, "08x"),
     )
 
 
@@ -652,7 +622,7 @@ def _summary_row(rows: Sequence[ResultRow]) -> ResultRow:
 
 def _execute(tasks: "list[tuple[ExperimentConfig, int, tuple]]", jobs: int) -> list[ResultRow]:
     if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(tasks) <= 1:
         return [_run_single(cfg, seed, param) for cfg, seed, param in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -687,8 +657,6 @@ def sweep(
     smaller parameter value. Grid values obey the rules of the config key
     the axis sets (SWEEP_AXES).
     """
-    if len(grid) == 0:
-        raise ConfigError("sweep grid must not be empty")
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {tuple(SWEEP_AXES)}")
     section, key = SWEEP_AXES[axis]

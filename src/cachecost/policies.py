@@ -10,7 +10,7 @@ dollars. Times are hours and must be nondecreasing per policy instance.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .analytic import CostModel, _validate_ttl, keeps
@@ -23,7 +23,6 @@ __all__ = [
     "LruPolicy",
     "PerfectRatePolicy",
     "PolicyVerdict",
-    "SlidingWindow",
     "next_request_times",
 ]
 
@@ -78,30 +77,6 @@ class GlobalTtlPolicy:
         return PolicyVerdict(hit, until)
 
 
-class SlidingWindow:
-    """Request timestamps of one item inside a trailing window.
-
-    Holds every observed time t with now - duration < t <= now; pruning
-    happens on observe. The estimated request rate is count / duration.
-    """
-
-    __slots__ = ("duration", "marks")
-
-    def __init__(self, duration: float):
-        self.duration = duration
-        self.marks: deque[float] = deque()
-
-    def observe(self, now: float) -> None:
-        horizon = now - self.duration
-        marks = self.marks
-        while marks and marks[0] <= horizon:
-            marks.popleft()
-        marks.append(now)
-
-    def rate(self) -> float:
-        return len(self.marks) / self.duration
-
-
 class IndividualTtlPolicy:
     """Per-item keep-or-drop driven by a sliding-window rate estimate.
 
@@ -126,25 +101,25 @@ class IndividualTtlPolicy:
         self.window = window
         self.costs = costs
         self.count_threshold = int(math.floor(window * costs.break_even_rate() + 1e-9)) + 1
-        self._windows: dict[ItemId, SlidingWindow] = {}
+        # the last count_threshold request times of each item, oldest first
+        self._recent: dict[ItemId, tuple[float, ...]] = {}
         self._until: dict[ItemId, float] = {}
         self._clock = -math.inf
 
     def on_request(self, item: ItemId, now: float) -> PolicyVerdict:
         now = _check_clock(self, now)
-        sw = self._windows.get(item)
-        if sw is None:
-            sw = self._windows[item] = SlidingWindow(self.window)
         until = self._until.get(item)
         # Residency decided at the previous request lapses exactly when the
         # window count falls to the threshold, so the boundary is a miss.
         hit = until is not None and now < until
-        sw.observe(now)
-        marks = sw.marks
         needed = self.count_threshold
-        if len(marks) >= needed:
-            # Drops below the threshold when the needed-th newest mark expires.
-            until = marks[-needed] + self.window
+        recent = (self._recent.get(item, ()) + (now,))[-needed:]
+        self._recent[item] = recent
+        # The window (now - window, now] holds at least `needed` requests
+        # exactly when the needed-th newest one lies inside it.
+        if len(recent) == needed and recent[0] > now - self.window:
+            # Drops below the threshold when that request leaves the window.
+            until = recent[0] + self.window
             self._until[item] = until
             return PolicyVerdict(hit, until)
         if until is not None:
@@ -210,10 +185,6 @@ class LowerBoundPolicy:
         self._gap_limit = costs.break_even_window()
         self._until: dict[ItemId, float] = {}
         self._clock = -math.inf
-
-    @classmethod
-    def for_trace(cls, costs: CostModel, requests: Sequence[Request]) -> "LowerBoundPolicy":
-        return cls(costs, next_request_times(requests))
 
     def on_request(self, item: ItemId, now: float) -> PolicyVerdict:
         now = _check_clock(self, now)

@@ -1,10 +1,12 @@
 """Request stream generation and trace file parsing.
 
-A workload is an iterator of time-ordered `Request` values. Streams are
-lazy: synthetic generators never materialize the full trace, and parsers
-yield as they read. Timestamps are hours from an arbitrary zero. For
-vectorized pricing a whole trace can also be held as `Columns`:
-`synthetic_columns` draws it directly, `collect_columns` reads any stream.
+A trace is time-ordered, with timestamps in hours from an arbitrary zero.
+It streams as `Columns` blocks: parallel arrays of times, movie ids and ad
+ids. Synthetic traces are drawn block by block, and a parsed or
+synthesized `Request` stream is cut into blocks of `BLOCK_REQUESTS` by
+`blocks_of`. `requests_of` turns blocks back into `Request` values for
+the event engine, and `columns_of` joins them for vectorized pricing.
+Only a caller that joins or lists the blocks holds a whole trace.
 
 Two text formats are supported, both UTF-8, comma separated, with `#`
 comment lines and `.` as the decimal point:
@@ -14,16 +16,16 @@ count trace      movie_id,upload_time_hours,total_views,horizon_hours
 
 A request trace either carries an ad id on every line or on none; in the
 latter case ads are meant to be drawn afterwards with `overlay_ads`.
-Movie and ad ids are integers from 1 to 2**63 - 1, so every trace also
-fits the int64 `Columns` form that the vectorized pricing reads.
+Movie and ad ids are integers from 1 to 2**63 - 1, so every trace fits
+the int64 `Columns` form.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from array import array
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -36,18 +38,24 @@ __all__ = [
     "ItemId",
     "Request",
     "TraceFormatError",
-    "collect_columns",
+    "blocks_of",
+    "columns_of",
     "gen_synthetic",
     "overlay_ads",
     "parse_count_trace",
     "parse_request_trace",
+    "requests_of",
     "subsample_records",
     "synthesize_from_counts",
-    "synthetic_columns",
 ]
 
 
 MAX_ID = 2**63 - 1  # largest movie or ad id: the int64 maximum
+# Requests per block when a Request stream is cut into Columns.
+BLOCK_REQUESTS = 4096
+# Arrivals per synthetic draw block. The draws interleave per block, so
+# this is part of what a seed means.
+_SYNTHETIC_BLOCK = 8192
 
 
 class ItemId(NamedTuple):
@@ -63,7 +71,8 @@ class Request(NamedTuple):
 
 
 class Columns(NamedTuple):
-    """A time-ordered trace as parallel arrays: float64 times, int64 ids.
+    """A time-ordered trace, or a block of one, as parallel arrays:
+    float64 times, int64 ids.
 
     An unassigned ad is stored as -1.
     """
@@ -92,7 +101,7 @@ def _validate_seed(seed: int) -> int:
 
 
 def _synthetic_blocks(
-    population: PopulationModel, duration: float, seed: int, block_size: int
+    population: PopulationModel, duration: float, seed: int, block_size: int = _SYNTHETIC_BLOCK
 ) -> Iterator[Columns]:
     """The draws behind `gen_synthetic`, block by block, cut at `duration`.
 
@@ -127,7 +136,7 @@ def gen_synthetic(
     duration: float,
     seed: int,
     *,
-    block_size: int = 8192,
+    block_size: int = _SYNTHETIC_BLOCK,
 ) -> Iterator[Request]:
     """Poisson arrivals over [0, duration) with population-drawn items.
 
@@ -136,35 +145,39 @@ def gen_synthetic(
     stream, so a (population, duration, seed) triple is reproducible. The
     stream is produced block by block and never held in memory at once.
     """
-    for times, movies, ads in _synthetic_blocks(population, duration, seed, block_size):
+    return requests_of(_synthetic_blocks(population, duration, seed, block_size))
+
+
+def blocks_of(requests: Iterable[Request]) -> Iterator[Columns]:
+    """Cut a request stream into blocks of `BLOCK_REQUESTS`; an unset ad
+    becomes -1. The last block may be shorter; an empty stream gives none."""
+    it = iter(requests)
+    while chunk := list(islice(it, BLOCK_REQUESTS)):
+        times, items = zip(*chunk)
+        movies, ads = zip(*items)
+        yield Columns(
+            np.array(times, dtype=np.float64),
+            np.array(movies, dtype=np.int64),
+            np.array([-1 if ad is None else ad for ad in ads], dtype=np.int64),
+        )
+
+
+_NO_REQUESTS = Columns(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+
+def columns_of(blocks: Iterable[Columns]) -> Columns:
+    """The blocks of a trace joined into one `Columns`; empty without blocks."""
+    return Columns(*map(np.concatenate, zip(_NO_REQUESTS, *blocks)))
+
+
+def requests_of(blocks: Iterable[Columns]) -> Iterator[Request]:
+    """The requests of a block stream, one at a time, in trace order.
+
+    Ids are passed on as stored: an unset ad stays -1.
+    """
+    for times, movies, ads in blocks:
         for time, movie, ad in zip(times.tolist(), movies.tolist(), ads.tolist()):
             yield Request(time, ItemId(movie, ad))
-
-
-def synthetic_columns(
-    population: PopulationModel,
-    duration: float,
-    seed: int,
-    *,
-    block_size: int = 8192,
-) -> Columns:
-    """The trace of `gen_synthetic` with the same arguments, as columns."""
-    blocks = list(_synthetic_blocks(population, duration, seed, block_size))
-    return Columns(*(np.concatenate(column) for column in zip(*blocks)))
-
-
-def collect_columns(requests: Iterable[Request]) -> Columns:
-    """Read a request stream once into columns; an unset ad becomes -1."""
-    times, movies, ads = array("d"), array("q"), array("q")
-    for time, (movie, ad) in requests:
-        times.append(time)
-        movies.append(movie)
-        ads.append(-1 if ad is None else ad)
-    return Columns(
-        np.frombuffer(times, dtype=np.float64),
-        np.frombuffer(movies, dtype=np.int64),
-        np.frombuffer(ads, dtype=np.int64),
-    )
 
 
 def _data_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -326,26 +339,14 @@ def synthesize_from_counts(
     return heapq.merge(*streams, key=lambda req: req.time)
 
 
-def overlay_ads(
-    requests: Iterable[Request], ads: ZipfLaw, seed: int, *, block_size: int = 4096
-) -> Iterator[Request]:
-    """Assign every request an independently drawn ad rank.
+def overlay_ads(blocks: Iterable[Columns], ads: ZipfLaw, seed: int) -> Iterator[Columns]:
+    """Give every request an independently drawn ad rank, block by block.
 
-    Any ad already present is replaced; movie ids and times pass through
-    untouched. Streaming and deterministic per (stream, ads, seed).
+    Each block's ad column is replaced by `ads.sample` of its length from
+    one seeded generator, which draws one uniform per request in trace
+    order; times and movie ids pass through untouched. Streaming and
+    deterministic per (trace length, ads, seed).
     """
-    seed = _validate_seed(seed)
-    rng = np.random.default_rng(seed)
-    buffer: list[Request] = []
-    it = iter(requests)
-    while True:
-        buffer.clear()
-        for req in it:
-            buffer.append(req)
-            if len(buffer) == block_size:
-                break
-        if not buffer:
-            return
-        ranks = ads.sample(rng, len(buffer))
-        for req, ad in zip(buffer, ranks.tolist()):
-            yield Request(req.time, ItemId(req.item.movie, ad))
+    rng = np.random.default_rng(_validate_seed(seed))
+    for block in blocks:
+        yield block._replace(ads=ads.sample(rng, block.times.size))

@@ -34,13 +34,20 @@ from cachecost.policies import (
     LowerBoundPolicy,
     LruPolicy,
     PerfectRatePolicy,
+    next_request_times,
 )
 from cachecost.presets import (
     default_cost_model,
     default_monte_carlo,
     default_population,
 )
-from cachecost.workload import gen_synthetic, parse_count_trace, synthetic_columns
+from cachecost.workload import (
+    _synthetic_blocks,
+    columns_of,
+    gen_synthetic,
+    parse_count_trace,
+    requests_of,
+)
 
 COSTS = default_cost_model()
 MC = default_monte_carlo()
@@ -143,14 +150,14 @@ def test_simulated_costs_match_closed_form(capsys):
         floor_costs = []
         for seed in SEEDS:
             trace = _materialize(lam, duration, seed)
-            columns = synthetic_columns(pm, duration, seed)
+            columns = columns_of(_synthetic_blocks(pm, duration, seed))
             for ttl in FIXED_TTLS:
                 ledger = run(trace, GlobalTtlPolicy(ttl), COSTS, warmup=warmup)
                 if global_ttl_ledger(columns, ttl, COSTS, warmup=warmup) != ledger:
                     columnar_mismatches.append((lam, seed, ttl))
                 fewest_requests = min(fewest_requests, ledger.requests)
                 ttl_costs[ttl].append(cost_per_request(ledger))
-            floor = LowerBoundPolicy.for_trace(COSTS, trace)
+            floor = LowerBoundPolicy(COSTS, next_request_times(trace))
             ledger = run(trace, floor, COSTS, warmup=warmup)
             fewest_requests = min(fewest_requests, ledger.requests)
             floor_costs.append(cost_per_request(ledger))
@@ -296,7 +303,7 @@ def _ordering_battery(traces):
     exact = True
     per_seed = {"floor": [], "est": [], "global": {t: [] for t in ORDERING_GRID}}
     for trace in traces:
-        floor_ledger = run(trace, LowerBoundPolicy.for_trace(COSTS, trace), COSTS)
+        floor_ledger = run(trace, LowerBoundPolicy(COSTS, next_request_times(trace)), COSTS)
         est_ledger = run(trace, IndividualTtlPolicy(BREAK_EVEN_W, COSTS), COSTS)
         rivals = [est_ledger.total_dollars]
         per_seed["floor"].append(cost_per_request(floor_ledger))
@@ -316,7 +323,7 @@ def _ordering_battery(traces):
 
 
 def _miniature_traces(name, seeds):
-    from cachecost.experiments import build_requests, parse_config
+    from cachecost.experiments import build_trace, parse_config
 
     ads, ad_exp = MINIATURES[name]
     cfg = parse_config(f"""
@@ -334,7 +341,7 @@ path = {DATA / name}
 ad_catalog = {ads}
 ad_exponent = {ad_exp}
 """)
-    return [list(build_requests(cfg, seed)) for seed in seeds]
+    return [list(requests_of(build_trace(cfg, seed))) for seed in seeds]
 
 
 def test_policy_cost_ordering_holds_everywhere(capsys):
@@ -422,7 +429,7 @@ def test_clairvoyant_floor_matches_gap_scan_oracle(capsys):
             lambda_global=lam,
         )
         trace = list(gen_synthetic(pm, 1000.0 / lam, seed=trial))
-        ledger = run(trace, LowerBoundPolicy.for_trace(COSTS, trace), COSTS)
+        ledger = run(trace, LowerBoundPolicy(COSTS, next_request_times(trace)), COSTS)
         want = _gap_scan_price(trace)
         worst = max(worst, abs(ledger.total_dollars - want) / want)
     elapsed = time.monotonic() - started

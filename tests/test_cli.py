@@ -4,6 +4,7 @@ import csv
 import io
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,6 +223,41 @@ def test_trace_without_requests_exits_with_trace_code(tmp_path, capsys):
     cfg.write_text(TRACE_CONFIG.format(policy="kind = global_ttl\nttl = 60.0", path=trace, warmup=0.0))
     assert main(["run", "--config", str(cfg)]) == EXIT_TRACE
     assert capsys.readouterr().err == "trace error: the trace holds no requests\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--ttl-grid", "0,60"], ["validate"]])
+def test_jobs_below_one_is_config_error(config_file, capsys, command, jobs):
+    code = main([command[0], "--config", config_file, f"--jobs={jobs}", *command[1:]])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: jobs must be >= 1, got {jobs}\n"
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _sweep_bytes(args, out):
+    assert main(["sweep", *args, "--out", str(out)]) == EXIT_OK
+    return out.read_bytes()
+
+
+def test_request_trace_sweep_bytes_do_not_depend_on_jobs(tmp_path):
+    # no ad ids in the file, so the overlay draws them over three blocks
+    trace = tmp_path / "t.csv"
+    trace.write_text("".join(f"{i * 0.01!r},{i * 7919 % 60 + 1}\n" for i in range(9000)))
+    cfg = tmp_path / "t.ini"
+    text = TRACE_CONFIG.format(policy="kind = lru\ncapacity = 4", path=trace, warmup=10.0)
+    cfg.write_text(text.replace("[run]", "ad_catalog = 5\nad_exponent = 0.9\n\n[run]\nseeds = 1,2"))
+    args = ["--config", str(cfg), "--capacity-grid", "2,8"]
+    one = _sweep_bytes([*args, "--jobs", "1"], tmp_path / "one.csv")
+    assert one.count(b"\n") == 8  # header, 2 points x (2 seeds + mean), argmin
+    assert _sweep_bytes([*args, "--jobs", "2"], tmp_path / "two.csv") == one
+
+
+def test_count_trace_sweep_bytes_do_not_depend_on_jobs(tmp_path):
+    args = ["--config", str(CONFIGS / "trace_ugc_small_window_sweep.ini"), "--window-grid", "740.74,2962.96"]
+    one = _sweep_bytes([*args, "--jobs", "1"], tmp_path / "one.csv")
+    assert _sweep_bytes([*args, "--jobs", "2"], tmp_path / "two.csv") == one
 
 
 def test_invariant_violation_exits_with_invariant_code(config_file, capsys, monkeypatch):

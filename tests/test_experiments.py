@@ -5,9 +5,12 @@ import dataclasses
 import io
 import math
 import statistics
+import struct
+import zlib
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cachecost.experiments import (
@@ -16,9 +19,11 @@ from cachecost.experiments import (
     VALIDATION_COLUMNS,
     ConfigError,
     ResultRow,
+    _run_single,
     _summary_row,
+    _trace_child_seeds,
     analytic_table,
-    build_requests,
+    build_trace,
     emit_csv,
     load_config,
     parse_config,
@@ -27,7 +32,13 @@ from cachecost.experiments import (
     sweep,
     validation_report,
 )
-from cachecost.workload import TraceFormatError, gen_synthetic
+from cachecost.analytic import ZipfLaw
+from cachecost.workload import (
+    TraceFormatError,
+    columns_of,
+    gen_synthetic,
+    requests_of,
+)
 
 BASE_COSTS = """
 [costs]
@@ -267,10 +278,14 @@ def test_bad_monte_carlo_is_rejected():
 # --- request stream assembly ---------------------------------------------------
 
 
+def _requests(cfg, seed):
+    return list(requests_of(build_trace(cfg, seed)))
+
+
 def test_synthetic_requests_match_generator_directly():
     cfg = _cfg()
     want = list(gen_synthetic(cfg.population_model(), 30.0, seed=2))
-    assert list(build_requests(cfg, 2)) == want
+    assert _requests(cfg, 2) == want
 
 
 def test_request_trace_with_ads_streams_verbatim(tmp_path):
@@ -285,7 +300,7 @@ ttl = 1.0
 source = request_trace
 path = {trace}
 """)
-    reqs = list(build_requests(cfg, 1))
+    reqs = _requests(cfg, 1)
     assert [(r.time, r.item.movie, r.item.ad) for r in reqs] == [
         (0.0, 3, 2),
         (1.0, 4, 1),
@@ -306,12 +321,12 @@ path = {trace}
 ad_catalog = 5
 ad_exponent = 0.9
 """)
-    reqs = list(build_requests(cfg, 3))
+    reqs = _requests(cfg, 3)
     assert [r.time for r in reqs] == [float(t) for t in range(10)]
     assert all(r.item.movie == 7 for r in reqs)
     assert all(r.item.ad is not None and 1 <= r.item.ad <= 5 for r in reqs)
-    assert list(build_requests(cfg, 3)) == reqs
-    assert list(build_requests(cfg, 4)) != reqs
+    assert _requests(cfg, 3) == reqs
+    assert _requests(cfg, 4) != reqs
 
 
 def test_request_trace_without_ads_and_no_overlay_errors(tmp_path):
@@ -327,7 +342,7 @@ source = request_trace
 path = {trace}
 """)
     with pytest.raises(TraceFormatError, match="no ad ids"):
-        list(build_requests(cfg, 1))
+        _requests(cfg, 1)
 
 
 def test_empty_request_trace_yields_no_requests(tmp_path):
@@ -342,7 +357,7 @@ ttl = 1.0
 source = request_trace
 path = {trace}
 """)
-    assert list(build_requests(cfg, 1)) == []
+    assert _requests(cfg, 1) == []
 
 
 def test_count_trace_synthesis_is_seeded(tmp_path):
@@ -360,12 +375,76 @@ ad_catalog = 4
 ad_exponent = 0.8
 subsample = 1.0
 """)
-    reqs = list(build_requests(cfg, 5))
+    reqs = _requests(cfg, 5)
     assert reqs
     assert all(r.item.ad is not None for r in reqs)
     assert all(0.0 <= r.time <= 48.0 for r in reqs)
-    assert list(build_requests(cfg, 5)) == reqs
-    assert list(build_requests(cfg, 6)) != reqs
+    assert _requests(cfg, 5) == reqs
+    assert _requests(cfg, 6) != reqs
+
+
+def _long_trace_config(tmp_path, kind, ads):
+    """A request trace of a little over two blocks, with or without ad ids."""
+    n = 2 * 4096 + 900
+    trace = tmp_path / "long.csv"
+    trace.write_text(
+        "".join(
+            f"{i * 0.01!r},{i * 7919 % 60 + 1}" + (f",{i % 4 + 1}" if ads else "") + "\n"
+            for i in range(n)
+        )
+    )
+    policy = {"global_ttl": "ttl = 1.5", "lru": "capacity = 8", "lower_bound": ""}[kind]
+    overlay = "" if ads else "ad_catalog = 7\nad_exponent = 0.9\n"
+    return n, _cfg(BASE_COSTS + f"""
+[policy]
+kind = {kind}
+{policy}
+
+[workload]
+source = request_trace
+path = {trace}
+{overlay}""")
+
+
+def test_overlay_ads_are_zipf_draws_from_the_overlay_seed(tmp_path):
+    # drawn per block of 4096 requests, as the overlay sees the trace
+    n, cfg = _long_trace_config(tmp_path, "global_ttl", ads=False)
+    trace = columns_of(build_trace(cfg, 9))
+    rng = np.random.default_rng(_trace_child_seeds(9)[2])
+    law = ZipfLaw(7, 0.9)
+    sizes = [4096, 4096, n - 2 * 4096]
+    want = np.concatenate([law.sample(rng, size) for size in sizes])
+    assert trace.ads.tolist() == want.tolist()
+    assert trace.times.tolist() == [i * 0.01 for i in range(n)]
+    assert trace.movies.tolist() == [i * 7919 % 60 + 1 for i in range(n)]
+
+
+def _event_checksum(requests):
+    """crc32 folded over each request packed alone as `<dqq`."""
+    crc = 0
+    for time, (movie, ad) in requests:
+        crc = zlib.crc32(struct.pack("<dqq", time, movie, ad), crc)
+    return format(crc & 0xFFFFFFFF, "08x")
+
+
+@pytest.mark.parametrize("kind", ["global_ttl", "lru", "lower_bound"])
+@pytest.mark.parametrize("ads", [True, False])
+def test_trace_checksum_equals_a_per_event_fold(tmp_path, kind, ads):
+    # the trace spans three blocks, so the fold crosses block boundaries
+    _, cfg = _long_trace_config(tmp_path, kind, ads)
+    row = _run_single(cfg, 4)
+    requests = _requests(cfg, 4)
+    assert row.requests == len(requests)
+    assert row.trace_checksum == _event_checksum(requests)
+
+
+def test_synthetic_trace_checksum_equals_a_per_event_fold():
+    # about 24k arrivals: three draw blocks of 8192
+    cfg = _cfg(SMALL_SYNTH.replace("lambda = 40.0", "lambda = 800.0"))
+    row = _run_single(cfg, 2)
+    requests = list(gen_synthetic(cfg.population_model(), 30.0, seed=2))
+    assert len(requests) > 2 * 8192
+    assert row.trace_checksum == _event_checksum(requests)
 
 
 # --- runs and sweeps ------------------------------------------------------------
@@ -657,6 +736,16 @@ def test_analytic_table_lambda_grid():
         assert r["ttl"] >= 0.0
     with pytest.raises(ConfigError):
         analytic_table(_cfg(), lambda_grid=[-3.0])
+
+
+def test_every_empty_grid_is_a_config_error():
+    cfg = _cfg()
+    with pytest.raises(ConfigError, match="policy.ttl: grid must not be empty"):
+        analytic_table(cfg, ttl_grid=[])
+    with pytest.raises(ConfigError, match="population.lambda: grid must not be empty"):
+        analytic_table(cfg, lambda_grid=[])
+    with pytest.raises(ConfigError, match="population.lambda: grid must not be empty"):
+        sweep(cfg, "lambda", [])
 
 
 def test_validation_report_compares_sim_to_closed_form():

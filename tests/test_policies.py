@@ -1,10 +1,13 @@
 """Per-policy decision semantics on hand-built request sequences."""
 
 import math
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cachecost.analytic import PopulationModel, ZipfLaw
+from cachecost.analytic import CostModel, PopulationModel, ZipfLaw
 from cachecost.engine import run
 from cachecost.policies import (
     GlobalTtlPolicy,
@@ -195,6 +198,63 @@ def test_individual_rejects_bad_window_and_time_regression():
         policy.on_request(B, 9.0)
 
 
+class _DequeWindowReference:
+    """The sliding-window rule kept the long way: every request time inside
+    the trailing window, pruned from the left when a new request arrives."""
+
+    def __init__(self, window, threshold):
+        self.window = window
+        self.threshold = threshold
+        self.marks = {}
+        self.until = {}
+
+    def on_request(self, item, now):
+        until = self.until.pop(item, None)
+        hit = until is not None and now < until
+        marks = self.marks.setdefault(item, deque())
+        horizon = now - self.window
+        while marks and marks[0] <= horizon:
+            marks.popleft()
+        marks.append(now)
+        if len(marks) >= self.threshold:
+            self.until[item] = marks[-self.threshold] + self.window
+            return PolicyVerdict(hit, self.until[item])
+        return PolicyVerdict(hit, None)
+
+
+# S/C = 1/2, so a window w needs floor(w / 2) + 1 requests; on a time grid of
+# quarter hours, marks land exactly window-old
+HALF_RATE = CostModel(storage_per_item_hour=1.0, compute_per_item=2.0, transmission_per_item=0.0)
+
+
+@st.composite
+def _window_cases(draw):
+    window, threshold = draw(
+        st.sampled_from([(0.75, 1), (1.0, 1), (2.0, 2), (3.0, 2), (4.0, 3), (0.3, 1)])
+    )
+    gaps = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.sampled_from([0.25, 0.5, 1.0, 2.0]), st.floats(0.0, 5.0)),
+            max_size=40,
+        )
+    )
+    time, sequence = draw(st.sampled_from([0.0, 0.1, 1e6])), []
+    for gap in gaps:
+        time += gap
+        sequence.append((time, draw(st.sampled_from([A, B, C_ITEM]))))
+    return window, threshold, sequence
+
+
+@settings(max_examples=400, deadline=None)
+@given(_window_cases())
+def test_individual_matches_a_deque_sliding_window(case):
+    window, threshold, sequence = case
+    policy = IndividualTtlPolicy(window, HALF_RATE)
+    assert policy.count_threshold == threshold
+    reference = _DequeWindowReference(window, threshold)
+    assert _drive(policy, sequence) == _drive(reference, sequence)
+
+
 # --- perfect-rate variant ---------------------------------------------------
 
 
@@ -240,7 +300,7 @@ def test_next_request_times_aligns_per_item():
 def test_lower_bound_keeps_cheap_gaps():
     gap = BREAK_EVEN_WINDOW / 2
     reqs = [Request(0.0, A), Request(gap, A)]
-    policy = LowerBoundPolicy.for_trace(COSTS, reqs)
+    policy = LowerBoundPolicy(COSTS, next_request_times(reqs))
     first = policy.on_request(A, 0.0)
     second = policy.on_request(A, gap)
     assert first == PolicyVerdict(False, gap)
@@ -251,7 +311,7 @@ def test_lower_bound_keeps_cheap_gaps():
 def test_lower_bound_tie_gap_recomputes():
     gap = BREAK_EVEN_WINDOW
     reqs = [Request(0.0, A), Request(gap, A)]
-    policy = LowerBoundPolicy.for_trace(COSTS, reqs)
+    policy = LowerBoundPolicy(COSTS, next_request_times(reqs))
     first = policy.on_request(A, 0.0)
     second = policy.on_request(A, gap)
     assert first == PolicyVerdict(False, None)
@@ -260,14 +320,14 @@ def test_lower_bound_tie_gap_recomputes():
 
 def test_lower_bound_never_stores_after_final_request():
     reqs = [Request(0.0, A), Request(1.0, A)]
-    policy = LowerBoundPolicy.for_trace(COSTS, reqs)
+    policy = LowerBoundPolicy(COSTS, next_request_times(reqs))
     policy.on_request(A, 0.0)
     assert policy.on_request(A, 1.0).store_until is None
 
 
 def test_lower_bound_interleaved_items():
     reqs = [Request(0.0, A), Request(1.0, B), Request(2.0, A)]
-    policy = LowerBoundPolicy.for_trace(COSTS, reqs)
+    policy = LowerBoundPolicy(COSTS, next_request_times(reqs))
     v = _drive(policy, [(r.time, r.item) for r in reqs])
     assert [x.hit for x in v] == [False, False, True]
 
@@ -336,7 +396,7 @@ def test_lower_bound_ledger_dominates_all_policies():
     pm = PopulationModel(ZipfLaw(30, 0.7), ZipfLaw(5, 0.9), 5.0)
     for seed in (1, 2, 3):
         reqs = list(gen_synthetic(pm, 200.0, seed=seed))
-        floor = run(reqs, LowerBoundPolicy.for_trace(COSTS, reqs), COSTS)
+        floor = run(reqs, LowerBoundPolicy(COSTS, next_request_times(reqs)), COSTS)
         rivals = [
             GlobalTtlPolicy(0.0),
             GlobalTtlPolicy(60.0),

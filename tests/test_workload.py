@@ -12,14 +12,16 @@ from cachecost.workload import (
     ItemId,
     Request,
     TraceFormatError,
-    collect_columns,
+    _synthetic_blocks,
+    blocks_of,
+    columns_of,
     gen_synthetic,
     overlay_ads,
     parse_count_trace,
     parse_request_trace,
+    requests_of,
     subsample_records,
     synthesize_from_counts,
-    synthetic_columns,
 )
 
 # 0.999 quantiles of the chi-square law, frozen from an independent table
@@ -135,7 +137,7 @@ def test_synthetic_columns_equal_the_request_stream(duration, block_size):
     # 8192 cuts inside the first block, 7 and 1 after many blocks; the last
     # case draws no request at all
     pm = PopulationModel(ZipfLaw(30, 0.8), ZipfLaw(4, 0.9), 50.0)
-    cols = synthetic_columns(pm, duration, 3, block_size=block_size)
+    cols = columns_of(_synthetic_blocks(pm, duration, 3, block_size))
     assert (cols.times.dtype, cols.movies.dtype, cols.ads.dtype) == (
         np.float64,
         np.int64,
@@ -149,11 +151,11 @@ def test_synthetic_columns_equal_the_request_stream(duration, block_size):
 
 
 def test_collect_columns_stores_an_unset_ad_as_minus_one():
-    cols = collect_columns([Request(0.5, ItemId(4, None)), Request(2.0, ItemId(5, 3))])
+    cols = columns_of(blocks_of([Request(0.5, ItemId(4, None)), Request(2.0, ItemId(5, 3))]))
     assert cols.times.tolist() == [0.5, 2.0]
     assert cols.movies.tolist() == [4, 5]
     assert cols.ads.tolist() == [-1, 3]
-    empty = collect_columns([])
+    empty = columns_of(blocks_of([]))
     assert [c.dtype for c in empty] == [np.float64, np.int64, np.int64]
     assert empty.times.size == 0
 
@@ -334,11 +336,15 @@ def test_subsample_rejects_bad_fraction():
 # --- ad overlay -------------------------------------------------------------
 
 
+def _overlay(reqs, law, seed):
+    return list(requests_of(overlay_ads(blocks_of(reqs), law, seed)))
+
+
 def test_overlay_preserves_length_times_and_movies():
     pm = default_population(80.0)
     base = list(gen_synthetic(pm, 50.0, seed=31))
     stripped = [Request(r.time, ItemId(r.item.movie, None)) for r in base]
-    dressed = list(overlay_ads(stripped, ZipfLaw(5000, 0.94), seed=6))
+    dressed = _overlay(stripped, ZipfLaw(5000, 0.94), 6)
     assert len(dressed) == len(stripped)
     assert [r.time for r in dressed] == [r.time for r in stripped]
     assert [r.item.movie for r in dressed] == [r.item.movie for r in stripped]
@@ -347,13 +353,13 @@ def test_overlay_preserves_length_times_and_movies():
 
 def test_overlay_single_ad_catalog():
     reqs = [Request(float(i), ItemId(1, None)) for i in range(10)]
-    dressed = list(overlay_ads(reqs, ZipfLaw(1, 0.94), seed=0))
+    dressed = _overlay(reqs, ZipfLaw(1, 0.94), 0)
     assert all(r.item.ad == 1 for r in dressed)
 
 
 def test_overlay_replaces_existing_ads():
     reqs = [Request(0.0, ItemId(1, 77))] * 2000
-    dressed = list(overlay_ads(reqs, ZipfLaw(3, 0.0), seed=12))
+    dressed = _overlay(reqs, ZipfLaw(3, 0.0), 12)
     seen = {r.item.ad for r in dressed}
     assert seen == {1, 2, 3}
 
@@ -361,7 +367,7 @@ def test_overlay_replaces_existing_ads():
 def test_overlay_ad_ranks_follow_zipf():
     reqs = [Request(float(i), ItemId(1, None)) for i in range(100_000)]
     law = ZipfLaw(5000, 0.94)
-    ranks = np.array([r.item.ad for r in overlay_ads(reqs, law, seed=44)])
+    ranks = np.array([r.item.ad for r in _overlay(reqs, law, 44)])
     stat = _rank_chi2(ranks, law, top=50, n=len(ranks))
     assert stat < CHI2_999[50]
 
@@ -369,12 +375,12 @@ def test_overlay_ad_ranks_follow_zipf():
 def test_overlay_is_deterministic():
     reqs = [Request(float(i), ItemId(i + 1, None)) for i in range(5000)]
     law = ZipfLaw(100, 0.91)
-    a = list(overlay_ads(reqs, law, seed=3))
-    b = list(overlay_ads(reqs, law, seed=3))
-    c = list(overlay_ads(reqs, law, seed=4))
+    a = _overlay(reqs, law, 3)
+    b = _overlay(reqs, law, 3)
+    c = _overlay(reqs, law, 4)
     assert a == b
     assert a != c
 
 
 def test_overlay_empty_stream():
-    assert list(overlay_ads([], ZipfLaw(10, 0.5), seed=1)) == []
+    assert _overlay([], ZipfLaw(10, 0.5), 1) == []
