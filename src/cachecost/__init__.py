@@ -3,9 +3,9 @@
 The package answers one question from several angles: when a cloud
 application pays per item-hour of cache storage and per item recomputation,
 which items should it keep, and for how long? `analytic` gives closed-form
-per-request costs under Poisson arrivals, `policies` and `engine` replay
-the same decisions event by event, and `experiments`/`cli` wrap both in a
-reproducible config-and-CSV workflow.
+per-request costs under Poisson arrivals, `policies` and `engine` price
+the same decisions on traces, from columns and event by event, and
+`experiments`/`cli` wrap both in a reproducible config-and-CSV workflow.
 """
 
 from .analytic import (

@@ -1,11 +1,18 @@
-"""Discrete-event replay of a request stream under one policy.
+"""Pricing a request trace under one policy, in two ways that must agree.
 
-The engine walks the trace once, asks the policy for a verdict per
-request, and turns verdicts into dollars: a recompute per miss, the flat
-transmission price per request, and storage billed for the exact hours
-each item spends resident. Residency intervals open when a verdict stores
-an item and close at the earliest of its deadline, its capacity eviction,
-or the final event of the trace.
+`run` replays the trace event by event: it asks the policy for a verdict
+per request and turns verdicts into dollars, a recompute per miss, the
+flat transmission price per request, and storage billed for the exact
+hours each item spends resident. Residency intervals open when a verdict
+stores an item and close at the earliest of its deadline, its capacity
+eviction, or the final event of the trace. LRU is priced this way, and
+the policy classes plus `run` are the oracle for the columnar path.
+
+Every other policy decides a request from its item's own previous or next
+request. `by_item` sorts a columnar trace by item, a `*_verdicts`
+function gives the policy's verdicts for all requests at once, and
+`run_length_ledger` prices them as residency runs. Its ledger is `==` the
+one `run` gives.
 
 A warmup threshold makes the ledger count only requests at or after the
 threshold and only storage accrued from it onwards, while the cache state
@@ -16,21 +23,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import Iterable, NamedTuple, Protocol
 
 import numpy as np
 
-from .analytic import CostModel, _validate_ttl
-from .policies import PolicyVerdict
+from .analytic import CostModel, _validate_ttl, keeps
+from .policies import PolicyVerdict, count_threshold
 from .workload import Columns, ItemId, Request
 
 __all__ = [
     "CostLedger",
     "InvariantViolation",
+    "ItemOrder",
     "Policy",
+    "Verdicts",
+    "by_item",
     "cost_per_request",
     "global_ttl_ledger",
+    "global_ttl_verdicts",
+    "individual_ttl_verdicts",
+    "known_rate_verdicts",
+    "lower_bound_verdicts",
     "run",
+    "run_length_ledger",
 ]
 
 
@@ -175,26 +190,28 @@ def run(
     )
 
 
-def global_ttl_ledger(
-    trace: Columns,
-    ttl: float,
-    costs: CostModel,
-    *,
-    warmup: float = 0.0,
-) -> CostLedger:
-    """The ledger of `run(trace, GlobalTtlPolicy(ttl), costs, warmup=warmup)`.
+class ItemOrder(NamedTuple):
+    """A trace sorted stably by (movie, ad): each item's requests are
+    consecutive and in time order. Built by `by_item`."""
 
-    Priced from columns instead of event by event, and equal to the
-    engine's ledger field for field. A stable sort by (movie, ad) puts each
-    item's requests in time order. A request is a hit when the previous
-    request of its item plus ttl reaches it, and each miss starts a new
-    residency run. Item-hours are summed sequentially in the order the
-    engine adds them: closed runs by the index of the request that closes
-    them, then runs still open at the end of the trace by the index of
-    their first request.
-    """
-    ttl = _validate_ttl(ttl)
-    warmup = _check_warmup(warmup)
+    order: np.ndarray  # trace index of each sorted request
+    times: np.ndarray  # their times
+    same: np.ndarray  # same[k]: sorted requests k and k + 1 are one item
+    t_first: float
+    t_end: float
+
+
+class Verdicts(NamedTuple):
+    """A policy's verdicts on an `ItemOrder`, one entry per sorted request:
+    whether it stores its item, until when, and whether it was a hit."""
+
+    stored: np.ndarray
+    until: np.ndarray
+    hit: np.ndarray
+
+
+def by_item(trace: Columns) -> ItemOrder:
+    """Sort a time-ordered trace by item; rejects a time regression or NaN."""
     times = trace.times
     n = times.size
     prev = np.concatenate(([-math.inf], times[:-1]))
@@ -204,38 +221,123 @@ def global_ttl_ledger(
         raise InvariantViolation(
             f"trace time regression: {float(times[i])} after {float(prev[i])}"
         )
-    counted = times >= warmup
+    order = np.lexsort((trace.ads, trace.movies))
+    same = np.ones(max(n - 1, 0), dtype=bool)
+    for ids in (trace.movies, trace.ads):
+        ids = ids[order]
+        same &= ids[1:] == ids[:-1]
+    return ItemOrder(
+        order, times[order], same,
+        float(times[0]) if n else 0.0, float(times[-1]) if n else 0.0,
+    )
+
+
+def _after(same: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """Per sorted request k: flags[k - 1] if request k - 1 is of k's item."""
+    out = np.zeros(flags.size, dtype=bool)
+    out[1:] = same & flags[:-1]
+    return out
+
+
+def global_ttl_verdicts(items: ItemOrder, ttl: float) -> Verdicts:
+    """`GlobalTtlPolicy(ttl)` on every request at once."""
+    ttl = _validate_ttl(ttl)
+    t = items.times
+    until = t + ttl
+    stored = np.full(t.size, ttl > 0.0)
+    hit = _after(items.same, stored)
+    hit[1:] &= until[:-1] >= t[1:]
+    return Verdicts(stored, until, hit)
+
+
+def individual_ttl_verdicts(items: ItemOrder, window: float, costs: CostModel) -> Verdicts:
+    """`IndividualTtlPolicy(window, costs)` on every request at once.
+
+    With K = count_threshold, request k stores its item when its item's
+    K-th newest request so far, k - K + 1, lies inside (t - window, t].
+    """
+    t = items.times
+    n = t.size
+    needed = count_threshold(window, costs)
+    if needed > n:  # no item has K requests; K may exceed int64
+        none = np.zeros(n, dtype=bool)
+        return Verdicts(none, t, none)
+    firsts = np.flatnonzero(np.concatenate(([True], ~items.same)))
+    mark = np.arange(n) - (needed - 1)
+    has_mark = mark >= np.repeat(firsts, np.diff(np.append(firsts, n)))
+    mark = t[np.where(has_mark, mark, 0)]
+    stored = has_mark & (mark > t - window)
+    until = mark + window
+    hit = _after(items.same, stored)
+    hit[1:] &= t[1:] < until[:-1]
+    return Verdicts(stored, until, hit)
+
+
+def lower_bound_verdicts(items: ItemOrder, costs: CostModel) -> Verdicts:
+    """`LowerBoundPolicy(costs, next_request_times(trace))` on every request
+    at once: a request stores its item until the item's next request when
+    that gap is strictly shorter than C/S."""
+    t = items.times
+    until = np.append(t[1:], math.inf)
+    stored = np.zeros(t.size, dtype=bool)
+    stored[:-1] = items.same & (t[1:] - t[:-1] < costs.break_even_window())
+    return Verdicts(stored, until, _after(items.same, stored))
+
+
+def known_rate_verdicts(items: ItemOrder, rates: np.ndarray, costs: CostModel) -> Verdicts:
+    """`PerfectRatePolicy` on every request at once; `rates` are the true
+    item rates of the requests in trace order."""
+    stored = keeps(rates, costs)[items.order]
+    until = np.broadcast_to(math.inf, stored.shape)
+    return Verdicts(stored, until, _after(items.same, stored))
+
+
+def run_length_ledger(
+    items: ItemOrder,
+    verdicts: Verdicts,
+    costs: CostModel,
+    *,
+    warmup: float = 0.0,
+) -> CostLedger:
+    """The ledger `run` gives for these verdicts, priced from columns.
+
+    A residency run opens at a stored request with no run open, or at a
+    stored miss. A miss closes the open run at the previous request's
+    `until`, and a hit that does not store closes it at the hit. Runs still
+    open at the end are clipped at the last trace time. Item-hours are
+    summed sequentially in the order the engine adds them: closed runs by
+    the trace index of the request that closes them, then open runs by the
+    trace index of their first request.
+    """
+    warmup = _check_warmup(warmup)
+    t = items.times
+    stored, until, hit = verdicts
+    counted = t >= warmup
     requests = int(np.count_nonzero(counted))
-    hits = 0
+    hits = int(np.count_nonzero(hit & counted))
     item_hours = 0.0
-    if ttl > 0.0 and n:
-        t_end = times[-1]
-        order = np.lexsort((trace.ads, trace.movies))
-        movies = trace.movies[order]
-        ads = trace.ads[order]
-        t = times[order]
-        deadline = t + ttl
-        # same[k]: sorted requests k and k + 1 belong to one item.
-        same = (movies[1:] == movies[:-1]) & (ads[1:] == ads[:-1])
-        hit = np.zeros(n, dtype=bool)
-        hit[1:] = same & (deadline[:-1] >= t[1:])
-        hits = int(np.count_nonzero(hit & counted[order]))
-        # One residency run per miss, from its first to its last request.
-        first = np.flatnonzero(~hit)
-        last = np.append(first[1:] - 1, n - 1)
-        start = t[first]
-        begin = np.where(start > warmup, start, warmup)
-        until = deadline[last]
-        closed = np.append(same[last[:-1]], False)
-        # Closed runs in the order of the request that closes them.
-        by_close = np.argsort(order[last[closed] + 1])
-        stop = until[closed][by_close]
-        closed_hours = (stop - begin[closed][by_close])[stop > warmup]
-        # Then the runs still open, in the order of their first request.
-        still_open = ~closed
-        by_first = np.argsort(order[first[still_open]])
-        stop = until[still_open][by_first]
-        stop = np.where(t_end < stop, t_end, stop)
+    # is_open[k]: a run of request k's item is open when request k arrives.
+    is_open = _after(items.same, stored)
+    starts = np.flatnonzero(stored & ~(is_open & hit))
+    closers = np.flatnonzero(is_open & ~(hit & stored))
+    if starts.size:
+        begin = t[starts]
+        begin = np.where(begin > warmup, begin, warmup)
+        # Each closer ends the run its item opened last before it.
+        ended = np.searchsorted(starts, closers) - 1
+        stop = np.where(hit[closers], t[closers], until[closers - 1])
+        by_close = np.argsort(items.order[closers])
+        stop = stop[by_close]
+        closed_hours = (stop - begin[ended[by_close]])[stop > warmup]
+        still_open = np.ones(starts.size, dtype=bool)
+        still_open[ended] = False
+        first = starts[still_open]
+        # An open run lasts to its item's last request.
+        item_ends = np.append(np.flatnonzero(~items.same), t.size - 1)
+        stop = until[item_ends[np.searchsorted(item_ends, first)]]
+        stop = np.where(items.t_end < stop, items.t_end, stop)
+        by_first = np.argsort(items.order[first])
+        stop = stop[by_first]
         open_hours = (stop - begin[still_open][by_first])[stop > warmup]
         hours = np.concatenate((closed_hours, open_hours))
         if hours.size:
@@ -250,5 +352,18 @@ def global_ttl_ledger(
         compute_dollars=computes * costs.compute_per_item,
         storage_dollars=item_hours * costs.storage_per_item_hour,
         transmission_dollars=requests * costs.transmission_per_item,
-        span=float(times[-1] - times[0]) if n else 0.0,
+        span=items.t_end - items.t_first,
     )
+
+
+def global_ttl_ledger(
+    trace: Columns,
+    ttl: float,
+    costs: CostModel,
+    *,
+    warmup: float = 0.0,
+) -> CostLedger:
+    """The ledger of `run(trace, GlobalTtlPolicy(ttl), costs, warmup=warmup)`,
+    priced from columns by `run_length_ledger`."""
+    items = by_item(trace)
+    return run_length_ledger(items, global_ttl_verdicts(items, ttl), costs, warmup=warmup)

@@ -37,18 +37,23 @@ from .analytic import (
     lower_bound_cost,
     optimal_global_ttl,
 )
-from .engine import _check_warmup, cost_per_request, global_ttl_ledger, run
-from .policies import (
-    IndividualTtlPolicy,
-    LowerBoundPolicy,
-    LruPolicy,
-    PerfectRatePolicy,
-    next_request_times,
+from .engine import (
+    ItemOrder,
+    Verdicts,
+    _check_warmup,
+    by_item,
+    cost_per_request,
+    global_ttl_verdicts,
+    individual_ttl_verdicts,
+    known_rate_verdicts,
+    lower_bound_verdicts,
+    run,
+    run_length_ledger,
 )
+from .policies import LruPolicy, count_threshold
 from .presets import DEFAULT_MC_SAMPLES, DEFAULT_SEEDS
 from .workload import (
     Columns,
-    Request,
     TraceFormatError,
     _synthetic_blocks,
     blocks_of,
@@ -376,6 +381,11 @@ def _build(given: "dict[str, dict]", base_dir: "str | Path | None" = None) -> Ex
         raise ConfigError("a synthetic workload requires a [population] section")
     if cfg.policy.kind == "known_rate" and source != "synthetic":
         raise ConfigError("known_rate requires a synthetic workload (true rates are unknown otherwise)")
+    if cfg.policy.kind == "individual_ttl":
+        try:
+            count_threshold(cfg.policy.window, cfg.costs)
+        except ValueError as err:
+            raise ConfigError(f"policy.{err}") from None
     if source == "synthetic" and cfg.warmup >= cfg.workload.duration:
         raise ConfigError(
             f"run.warmup ({cfg.warmup}) must be smaller than "
@@ -488,24 +498,23 @@ def build_trace(cfg: ExperimentConfig, seed: int) -> Iterator[Columns]:
     return overlay_ads(blocks, law, overlay_seed)
 
 
-def _build_policy(cfg: ExperimentConfig, requests: Iterable[Request]):
+def _verdicts(cfg: ExperimentConfig, trace: Columns, items: ItemOrder) -> Verdicts:
+    """The configured policy's verdicts on every request of a non-LRU run."""
     kind = cfg.policy.kind
+    if kind == "global_ttl":
+        return global_ttl_verdicts(items, cfg.policy.ttl)
     if kind == "individual_ttl":
-        return IndividualTtlPolicy(cfg.policy.window, cfg.costs)
-    if kind == "lru":
-        return LruPolicy(cfg.policy.capacity)
+        return individual_ttl_verdicts(items, cfg.policy.window, cfg.costs)
+    if kind == "lower_bound":
+        return lower_bound_verdicts(items, cfg.costs)
     if kind == "known_rate":
         pm = cfg.population_model()
-        movie_p = pm.movies.probabilities
-        ad_p = pm.ads.probabilities
-        lam = pm.lambda_global
-
-        def rate_of(item):
-            return lam * movie_p[item.movie - 1] * ad_p[item.ad - 1]
-
-        return PerfectRatePolicy(cfg.costs, rate_of)
-    if kind == "lower_bound":
-        return LowerBoundPolicy(cfg.costs, next_request_times(requests))
+        rates = (
+            pm.lambda_global
+            * pm.movies.probabilities[trace.movies - 1]
+            * pm.ads.probabilities[trace.ads - 1]
+        )
+        return known_rate_verdicts(items, rates, cfg.costs)
     raise ConfigError(f"unknown policy kind {kind!r}")
 
 
@@ -548,9 +557,11 @@ def _run_single(
     """One (config, seed) simulation producing one CSV row.
 
     The trace streams through as blocks, each folded into the checksum as
-    it passes. Global TTL is priced from the blocks concatenated into
-    columns; the other policies replay its requests through the event
-    engine, and the clairvoyant floor holds them all to look ahead.
+    it passes. LRU replays its requests through the event engine. Every
+    other policy is priced from the blocks joined into columns: the trace
+    is sorted by item, the policy's verdicts come as arrays and
+    `run_length_ledger` prices them. A ledger with a non-finite dollar
+    field is rejected.
     """
     crc, last_time = 0, None
 
@@ -563,13 +574,15 @@ def _run_single(
             yield block
 
     trace = checked(build_trace(cfg, seed))
-    if cfg.policy.kind == "global_ttl":
-        ledger = global_ttl_ledger(columns_of(trace), cfg.policy.ttl, cfg.costs, warmup=cfg.warmup)
+    if cfg.policy.kind == "lru":
+        policy = LruPolicy(cfg.policy.capacity)
+        ledger = run(requests_of(trace), policy, cfg.costs, warmup=cfg.warmup)
     else:
-        requests = requests_of(trace)
-        if cfg.policy.kind == "lower_bound":
-            requests = list(requests)
-        ledger = run(requests, _build_policy(cfg, requests), cfg.costs, warmup=cfg.warmup)
+        trace = columns_of(trace)
+        items = by_item(trace)
+        verdicts = _verdicts(cfg, trace, items)
+        del trace  # the sorted copy is all the pricing reads
+        ledger = run_length_ledger(items, verdicts, cfg.costs, warmup=cfg.warmup)
     if ledger.requests == 0:
         if last_time is None:
             raise TraceFormatError("the trace holds no requests")
@@ -578,6 +591,18 @@ def _run_single(
             f"(at {last_time!r} h); no request is priced"
         )
     name, value = param if param is not None else _policy_param(cfg)
+    dollars = {
+        "compute_d": ledger.compute_dollars,
+        "storage_d": ledger.storage_dollars,
+        "transmission_d": ledger.transmission_dollars,
+        "cost_per_request": cost_per_request(ledger),
+    }
+    for field, amount in dollars.items():
+        if not math.isfinite(amount):
+            raise ConfigError(
+                f"{field} overflows float range ({amount!r}) for seed {seed}; "
+                "the prices are too large for this trace"
+            )
     return ResultRow(
         policy=cfg.policy.kind,
         param_name=name,
@@ -585,10 +610,7 @@ def _run_single(
         seed=str(seed),
         requests=ledger.requests,
         hits=ledger.hits,
-        cost_per_request=cost_per_request(ledger),
-        compute_d=ledger.compute_dollars,
-        storage_d=ledger.storage_dollars,
-        transmission_d=ledger.transmission_dollars,
+        **dollars,
         trace_checksum=format(crc & 0xFFFFFFFF, "08x"),
     )
 
@@ -596,28 +618,34 @@ def _run_single(
 def _summary_row(rows: Sequence[ResultRow]) -> ResultRow:
     costs = [r.cost_per_request for r in rows]
     sd = None
-    if len(costs) > 1:
-        # Exact rational variance, rounded to float once, then one sqrt.
-        # statistics.stdev rounds differently on 3.10 and on 3.11+.
-        exact = [Fraction(c) for c in costs]
-        mean = sum(exact) / len(exact)
-        variance = sum((x - mean) ** 2 for x in exact) / (len(exact) - 1)
-        sd = math.sqrt(float(variance))
     first = rows[0]
-    return ResultRow(
-        policy=first.policy,
-        param_name=first.param_name,
-        param_value=first.param_value,
-        seed="mean",
-        requests=statistics.fmean(r.requests for r in rows),
-        hits=statistics.fmean(r.hits for r in rows),
-        cost_per_request=statistics.fmean(costs),
-        compute_d=statistics.fmean(r.compute_d for r in rows),
-        storage_d=statistics.fmean(r.storage_d for r in rows),
-        transmission_d=statistics.fmean(r.transmission_d for r in rows),
-        trace_checksum="",
-        cost_sd=sd,
-    )
+    try:
+        if len(costs) > 1:
+            # Exact rational variance, rounded to float once, then one sqrt.
+            # statistics.stdev rounds differently on 3.10 and on 3.11+.
+            exact = [Fraction(c) for c in costs]
+            mean = sum(exact) / len(exact)
+            variance = sum((x - mean) ** 2 for x in exact) / (len(exact) - 1)
+            sd = math.sqrt(float(variance))
+        return ResultRow(
+            policy=first.policy,
+            param_name=first.param_name,
+            param_value=first.param_value,
+            seed="mean",
+            requests=statistics.fmean(r.requests for r in rows),
+            hits=statistics.fmean(r.hits for r in rows),
+            cost_per_request=statistics.fmean(costs),
+            compute_d=statistics.fmean(r.compute_d for r in rows),
+            storage_d=statistics.fmean(r.storage_d for r in rows),
+            transmission_d=statistics.fmean(r.transmission_d for r in rows),
+            trace_checksum="",
+            cost_sd=sd,
+        )
+    except OverflowError:
+        raise ConfigError(
+            f"the mean row of {first.policy} {first.param_name} {first.param_value} "
+            "overflows float range across seeds; the prices are too large"
+        ) from None
 
 
 def _execute(tasks: "list[tuple[ExperimentConfig, int, tuple]]", jobs: int) -> list[ResultRow]:

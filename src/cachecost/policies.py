@@ -5,6 +5,10 @@ with a `PolicyVerdict`: whether this request was served from cache, and
 until when the item should stay resident afterwards. Policies own their
 bookkeeping (deadlines, sliding windows, recency); the engine owns the
 dollars. Times are hours and must be nondecreasing per policy instance.
+
+Runs price LRU with `LruPolicy` and every other policy from the columnar
+verdicts in `engine`; these classes, replayed by `engine.run`, are the
+oracle those verdicts are tested against.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ __all__ = [
     "LruPolicy",
     "PerfectRatePolicy",
     "PolicyVerdict",
+    "count_threshold",
     "next_request_times",
 ]
 
@@ -77,6 +82,26 @@ class GlobalTtlPolicy:
         return PolicyVerdict(hit, until)
 
 
+def count_threshold(window: float, costs: CostModel) -> int:
+    """The fewest requests inside a window of this length whose rate
+    estimate count/window strictly clears the break-even rate S/C.
+
+    A tiny tolerance absorbs float dust when the window is an exact
+    multiple of C/S. Rejects a window that is not positive and finite, or
+    whose product with S/C overflows.
+    """
+    window = float(window)
+    if not (math.isfinite(window) and window > 0.0):
+        raise ValueError(f"window must be positive and finite, got {window!r}")
+    expected = window * costs.break_even_rate()
+    if not math.isfinite(expected):
+        raise ValueError(
+            f"window ({window!r}) times the break-even rate S/C "
+            f"({costs.break_even_rate()!r}) overflows float range"
+        )
+    return int(math.floor(expected + 1e-9)) + 1
+
+
 class IndividualTtlPolicy:
     """Per-item keep-or-drop driven by a sliding-window rate estimate.
 
@@ -90,17 +115,13 @@ class IndividualTtlPolicy:
 
     The threshold comparison is done on integer counts: resident while the
     window holds at least `count_threshold` entries, the smallest count
-    whose estimate strictly clears S/C. A tiny tolerance absorbs float
-    dust when the window is an exact multiple of C/S.
+    whose estimate strictly clears S/C.
     """
 
     def __init__(self, window: float, costs: CostModel):
-        window = float(window)
-        if not (math.isfinite(window) and window > 0.0):
-            raise ValueError(f"window must be positive and finite, got {window!r}")
-        self.window = window
+        self.window = float(window)
         self.costs = costs
-        self.count_threshold = int(math.floor(window * costs.break_even_rate() + 1e-9)) + 1
+        self.count_threshold = count_threshold(window, costs)
         # the last count_threshold request times of each item, oldest first
         self._recent: dict[ItemId, tuple[float, ...]] = {}
         self._until: dict[ItemId, float] = {}

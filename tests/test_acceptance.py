@@ -27,7 +27,14 @@ from cachecost.analytic import (
     optimal_global_ttl,
 )
 from cachecost.cli import EXIT_OK, main
-from cachecost.engine import cost_per_request, global_ttl_ledger, run
+from cachecost.engine import (
+    by_item,
+    cost_per_request,
+    global_ttl_ledger,
+    lower_bound_verdicts,
+    run,
+    run_length_ledger,
+)
 from cachecost.policies import (
     GlobalTtlPolicy,
     IndividualTtlPolicy,
@@ -84,6 +91,13 @@ def _materialize(lam: float, duration: float, seed: int):
 
 def _mean_cost(trace, policy, warmup: float) -> float:
     return cost_per_request(run(trace, policy, COSTS, warmup=warmup))
+
+
+def _kernel_floor(columns, warmup: float = 0.0):
+    """The clairvoyant floor priced as a run is: sorted by item, verdicts as
+    arrays, then the run-length kernel."""
+    items = by_item(columns)
+    return run_length_ledger(items, lower_bound_verdicts(items, COSTS), COSTS, warmup=warmup)
 
 
 # --- 1: per-item cost rule ----------------------------------------------------
@@ -144,6 +158,7 @@ def test_simulated_costs_match_closed_form(capsys):
     worst_ttl = worst_floor = 0.0
     fewest_requests = math.inf
     columnar_mismatches = []
+    floor_mismatches = []
     for lam, (duration, warmup) in FIXED_TTL_BATTERY.items():
         pm = default_population(lam)
         ttl_costs = {ttl: [] for ttl in FIXED_TTLS}
@@ -159,6 +174,8 @@ def test_simulated_costs_match_closed_form(capsys):
                 ttl_costs[ttl].append(cost_per_request(ledger))
             floor = LowerBoundPolicy(COSTS, next_request_times(trace))
             ledger = run(trace, floor, COSTS, warmup=warmup)
+            if _kernel_floor(columns, warmup) != ledger:
+                floor_mismatches.append((lam, seed))
             fewest_requests = min(fewest_requests, ledger.requests)
             floor_costs.append(cost_per_request(ledger))
         for ttl in FIXED_TTLS:
@@ -173,9 +190,11 @@ def test_simulated_costs_match_closed_form(capsys):
         ok,
         f"rel err: shared lifetime {worst_ttl:.2e}, floor {worst_floor:.2e} "
         f"(tol 2e-2); min {fewest_requests} measured requests per run; "
-        f"columnar shared-lifetime ledgers differing from the engine: {columnar_mismatches}",
+        f"columnar shared-lifetime ledgers differing from the engine: {columnar_mismatches}; "
+        f"columnar floor ledgers differing: {floor_mismatches}",
     )
     assert not columnar_mismatches
+    assert not floor_mismatches
 
 
 # --- 3: windowed policy vs the per-item ideal ------------------------------------
@@ -421,6 +440,7 @@ def test_clairvoyant_floor_matches_gap_scan_oracle(capsys):
     rng = np.random.default_rng(808)
     worst = 0.0
     trials = 100
+    kernel_mismatches = []
     for trial in range(trials):
         lam = float(10.0 ** rng.uniform(math.log10(0.05), math.log10(5.0)))
         pm = PopulationModel(
@@ -430,6 +450,8 @@ def test_clairvoyant_floor_matches_gap_scan_oracle(capsys):
         )
         trace = list(gen_synthetic(pm, 1000.0 / lam, seed=trial))
         ledger = run(trace, LowerBoundPolicy(COSTS, next_request_times(trace)), COSTS)
+        if _kernel_floor(columns_of(_synthetic_blocks(pm, 1000.0 / lam, trial))) != ledger:
+            kernel_mismatches.append(trial)
         want = _gap_scan_price(trace)
         worst = max(worst, abs(ledger.total_dollars - want) / want)
     elapsed = time.monotonic() - started
@@ -439,8 +461,10 @@ def test_clairvoyant_floor_matches_gap_scan_oracle(capsys):
         "clairvoyant floor vs oracle",
         ok,
         f"{trials} random ~1000-request traces, worst rel diff {worst:.2e} "
-        f"(tol 1e-9), {elapsed:.1f}s",
+        f"(tol 1e-9), {elapsed:.1f}s; columnar floor ledgers differing from the "
+        f"engine: {kernel_mismatches}",
     )
+    assert not kernel_mismatches
 
 
 # --- 9: bundled miniatures and frozen outputs ------------------------------------------

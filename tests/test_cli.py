@@ -233,6 +233,46 @@ def test_jobs_below_one_is_config_error(config_file, capsys, command, jobs):
     assert capsys.readouterr().err == f"config error: jobs must be >= 1, got {jobs}\n"
 
 
+def _priced(config_text: str, tmp_path) -> Path:
+    path = tmp_path / "priced.ini"
+    path.write_text(config_text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["run"], ["sweep", "--window-grid", "1.0,1e300"]],
+    ids=["config", "sweep grid"],
+)
+def test_window_times_break_even_rate_overflow_is_config_error(tmp_path, capsys, command):
+    # S/C = 1e20, so a 1e300 h window would need more than float-range requests
+    text = CONFIG.replace("4.86e-7", "1e10").replace("7.2e-4", "1e-10")
+    window = "1.0" if command[0] == "sweep" else "1e300"
+    cfg = _priced(text.replace("kind = global_ttl\nttl = 60.0", f"kind = individual_ttl\nwindow = {window}"), tmp_path)
+    assert main([command[0], "--config", str(cfg), *command[1:]]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: policy.window (1e+300) times the break-even rate S/C")
+    assert err.count("\n") == 1
+
+
+def test_dollars_past_float_range_are_config_error(tmp_path, capsys):
+    text = CONFIG.replace("4.86e-7", "1e306").replace("ttl = 60.0", "ttl = 1e308")
+    assert main(["run", "--config", str(_priced(text, tmp_path))]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: storage_d overflows float range (inf)")
+    assert err.count("\n") == 1
+
+
+def test_cost_variance_past_float_range_is_config_error(tmp_path, capsys):
+    # every per-seed row is finite; their sample variance is not
+    text = CONFIG.replace("4.86e-7", "1e300").replace("ttl = 60.0", "ttl = 1e308")
+    text = text.replace("seeds = 1,2", "seeds = 1,2,3")
+    assert main(["run", "--config", str(_priced(text, tmp_path))]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the mean row of global_ttl ttl 1e+308 overflows float range")
+    assert err.count("\n") == 1
+
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 

@@ -6,18 +6,32 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cachecost.analytic import PopulationModel, ZipfLaw
+from cachecost.analytic import CostModel, PopulationModel, ZipfLaw
 from cachecost.engine import (
     InvariantViolation,
+    Verdicts,
+    by_item,
     cost_per_request,
     global_ttl_ledger,
+    individual_ttl_verdicts,
+    known_rate_verdicts,
+    lower_bound_verdicts,
     run,
+    run_length_ledger,
 )
 from cachecost.experiments import _checksum
-from cachecost.policies import GlobalTtlPolicy, LruPolicy, PolicyVerdict
+from cachecost.policies import (
+    GlobalTtlPolicy,
+    IndividualTtlPolicy,
+    LowerBoundPolicy,
+    LruPolicy,
+    PerfectRatePolicy,
+    PolicyVerdict,
+    next_request_times,
+)
 from cachecost.presets import default_cost_model
 from cachecost.workload import ItemId, Request, blocks_of, columns_of, gen_synthetic
 
@@ -370,3 +384,140 @@ def test_columnar_global_ttl_equals_the_engine_on_synthetic_traces():
         for warmup in (0.0, 50.0, 149.0):
             want = _engine_global_ttl(reqs, ttl, warmup)
             assert _columnar_global_ttl(reqs, ttl, warmup) == want
+
+
+# --- the run-length kernel against the engine, one test per policy kind --------
+
+
+# S/C = 1/2 and C/S = 2: windows of 0.3 to 1 h need one request, 2 to 3.3 h
+# two, 4 and 5 h three, 60 h more than a trace holds and 1e300 h more than
+# int64 counts. On the quarter-hour grid below, marks land exactly
+# window-old and gaps exactly at C/S.
+HALF_RATE = CostModel(storage_per_item_hour=1.0, compute_per_item=2.0, transmission_per_item=0.5)
+WINDOWS = (0.3, 0.75, 1.0, 2.0, 3.0, 3.3, 4.0, 5.0, 60.0, 1e300)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A small trace with tied times, single-request items and a warmup
+    before, inside or after it."""
+    origin = draw(st.sampled_from([0.0, 0.25, 1e6]))
+    gaps = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.sampled_from([0.25, 0.5, 1.0, 2.0]), st.floats(0.0, 4.0)),
+            max_size=30,
+        )
+    )
+    time, reqs = origin, []
+    for gap in gaps:
+        time += gap
+        reqs.append(Request(time, draw(st.sampled_from(ITEMS))))
+    times = [r.time for r in reqs] or [0.0]
+    warmup = draw(
+        st.one_of(
+            st.just(0.0),
+            st.floats(0.0, times[0]),
+            st.sampled_from(times),
+            st.floats(times[0], times[-1]),
+            st.floats(times[-1], times[-1] + 10.0).filter(lambda w: w > times[-1]),
+        )
+    )
+    return reqs, warmup
+
+
+def _kernel_ledger(reqs, verdicts_of, warmup):
+    items = by_item(columns_of(blocks_of(reqs)))
+    return run_length_ledger(items, verdicts_of(items), HALF_RATE, warmup=warmup)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_kernel_cases(), st.data())
+def test_kernel_equals_the_engine_on_any_valid_verdicts(case, data):
+    """Scripted verdicts that only keep the engine's invariants: a hit needs
+    an unexpired residency, a miss an expired one, and any request may
+    store its item for any time or not at all."""
+    reqs, warmup = case
+    script, resident = [], {}
+    for time, item in reqs:
+        until = resident.pop(item, None)
+        hit = until is not None and (until > time or (until == time and data.draw(st.booleans())))
+        keep = data.draw(st.one_of(st.none(), st.sampled_from([0.0, 0.25, 2.0, math.inf]), st.floats(0.0, 3.0)))
+        if keep is not None:
+            resident[item] = time + keep
+        script.append(PolicyVerdict(hit, None if keep is None else time + keep))
+
+    class Scripted:
+        def __init__(self):
+            self._verdicts = iter(script)
+
+        def on_request(self, item, now):
+            return next(self._verdicts)
+
+    items = by_item(columns_of(blocks_of(reqs)))
+    # NaN where nothing is stored: the kernel must never read it
+    verdicts = Verdicts(
+        np.array([v.store_until is not None for v in script], dtype=bool)[items.order],
+        np.array([math.nan if v.store_until is None else v.store_until for v in script])[items.order],
+        np.array([v.hit for v in script], dtype=bool)[items.order],
+    )
+    want = run(reqs, Scripted(), HALF_RATE, warmup=warmup)
+    assert run_length_ledger(items, verdicts, HALF_RATE, warmup=warmup) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(_kernel_cases(), st.sampled_from(WINDOWS))
+# 12.019 - 3.3 rounds to the first mark exactly, but the mark plus 3.3 rounds
+# past 12.019: only a strict `mark > t - window` keeps the tied third request
+# a miss.
+@example(([Request(8.719000000000001, A), Request(12.019, A), Request(12.019, A)], 0.0), 3.3)
+def test_kernel_individual_ttl_equals_the_engine(case, window):
+    reqs, warmup = case
+    want = run(reqs, IndividualTtlPolicy(window, HALF_RATE), HALF_RATE, warmup=warmup)
+    got = _kernel_ledger(reqs, lambda items: individual_ttl_verdicts(items, window, HALF_RATE), warmup)
+    assert got == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(_kernel_cases())
+def test_kernel_lower_bound_equals_the_engine(case):
+    reqs, warmup = case
+    floor = LowerBoundPolicy(HALF_RATE, next_request_times(reqs))
+    want = run(reqs, floor, HALF_RATE, warmup=warmup)
+    assert _kernel_ledger(reqs, lambda items: lower_bound_verdicts(items, HALF_RATE), warmup) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    _kernel_cases(),
+    # rates below, at (0.5 = S/C) and above the break-even rate
+    st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.5000000000000001, 3.0]), min_size=6, max_size=6),
+)
+def test_kernel_known_rate_equals_the_engine(case, item_rates):
+    reqs, warmup = case
+    rate_of = dict(zip(ITEMS, item_rates))
+    want = run(reqs, PerfectRatePolicy(HALF_RATE, rate_of.__getitem__), HALF_RATE, warmup=warmup)
+    rates = np.array([rate_of[r.item] for r in reqs])
+    assert _kernel_ledger(reqs, lambda items: known_rate_verdicts(items, rates, HALF_RATE), warmup) == want
+
+
+def test_kernel_equals_the_engine_on_synthetic_traces():
+    pm = PopulationModel(ZipfLaw(200, 0.8), ZipfLaw(10, 0.9), 150.0)
+    reqs = list(gen_synthetic(pm, 150.0, seed=7))
+    items = by_item(columns_of(blocks_of(reqs)))
+    movie_p, ad_p = pm.movies.probabilities, pm.ads.probabilities
+
+    def rate_of(item):
+        return pm.lambda_global * movie_p[item.movie - 1] * ad_p[item.ad - 1]
+
+    rates = np.array([rate_of(r.item) for r in reqs])
+    window = COSTS.break_even_window()
+    kinds = [
+        (lambda: IndividualTtlPolicy(window / 50, COSTS), individual_ttl_verdicts(items, window / 50, COSTS)),
+        (lambda: IndividualTtlPolicy(window, COSTS), individual_ttl_verdicts(items, window, COSTS)),
+        (lambda: LowerBoundPolicy(COSTS, next_request_times(reqs)), lower_bound_verdicts(items, COSTS)),
+        (lambda: PerfectRatePolicy(COSTS, rate_of), known_rate_verdicts(items, rates, COSTS)),
+    ]
+    for policy, verdicts in kinds:
+        for warmup in (0.0, 50.0, 149.0):
+            want = run(reqs, policy(), COSTS, warmup=warmup)
+            assert run_length_ledger(items, verdicts, COSTS, warmup=warmup) == want

@@ -33,6 +33,14 @@ from cachecost.experiments import (
     validation_report,
 )
 from cachecost.analytic import ZipfLaw
+from cachecost.engine import cost_per_request, run
+from cachecost.policies import (
+    GlobalTtlPolicy,
+    IndividualTtlPolicy,
+    LowerBoundPolicy,
+    PerfectRatePolicy,
+    next_request_times,
+)
 from cachecost.workload import (
     TraceFormatError,
     columns_of,
@@ -521,6 +529,44 @@ def test_lower_bound_experiment_runs():
     rows = run_experiment(cfg)
     assert rows[-1].policy == "lower_bound"
     assert rows[-1].param_name == ""
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        "kind = global_ttl\nttl = 2.0",
+        "kind = individual_ttl\nwindow = 1481.48",
+        "kind = individual_ttl\nwindow = 30.0",
+        "kind = lower_bound",
+        "kind = known_rate",
+    ],
+)
+def test_run_rows_equal_the_engine_with_the_policy_class(policy):
+    """A run prices every kind but LRU from columns; its rows must be the
+    ones the event engine gives with that kind's policy class."""
+    cfg = _cfg(SMALL_SYNTH.replace("kind = global_ttl\nttl = 60.0", policy)
+               .replace("warmup = 0.0", "warmup = 5.0"))
+    pm = cfg.population_model()
+    movie_p, ad_p = pm.movies.probabilities, pm.ads.probabilities
+
+    def rate_of(item):
+        return pm.lambda_global * movie_p[item.movie - 1] * ad_p[item.ad - 1]
+
+    for seed in cfg.seeds:
+        requests = _requests(cfg, seed)
+        policy_of = {
+            "global_ttl": lambda: GlobalTtlPolicy(cfg.policy.ttl),
+            "individual_ttl": lambda: IndividualTtlPolicy(cfg.policy.window, cfg.costs),
+            "lower_bound": lambda: LowerBoundPolicy(cfg.costs, next_request_times(requests)),
+            "known_rate": lambda: PerfectRatePolicy(cfg.costs, rate_of),
+        }
+        ledger = run(requests, policy_of[cfg.policy.kind](), cfg.costs, warmup=cfg.warmup)
+        row = _run_single(cfg, seed)
+        assert (row.requests, row.hits) == (ledger.requests, ledger.hits)
+        assert row.cost_per_request == cost_per_request(ledger)
+        assert (row.compute_d, row.storage_d, row.transmission_d) == (
+            ledger.compute_dollars, ledger.storage_dollars, ledger.transmission_dollars
+        )
 
 
 def test_sweep_layout_and_argmin():
