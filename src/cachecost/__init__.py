@@ -53,8 +53,6 @@ from .presets import (
 )
 from .workload import (
     CountTraceRecord,
-    ItemId,
-    Request,
     TraceFormatError,
     gen_synthetic,
     overlay_ads,
@@ -75,7 +73,6 @@ __all__ = [
     "GlobalTtlPolicy",
     "IndividualTtlPolicy",
     "InvariantViolation",
-    "ItemId",
     "KeepDecision",
     "LowerBoundPolicy",
     "LruPolicy",
@@ -83,7 +80,6 @@ __all__ = [
     "PerfectRatePolicy",
     "PolicyVerdict",
     "PopulationModel",
-    "Request",
     "ResultRow",
     "TraceFormatError",
     "ZipfLaw",

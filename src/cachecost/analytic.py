@@ -69,7 +69,7 @@ class CostModel:
         object.__setattr__(self, "transmission_per_item", x)
 
     def break_even_rate(self) -> float:
-        """Request rate (1/h) at which storing and recomputing cost the same."""
+        """The request rate (1/h) at which storing and recomputing cost the same."""
         return self.storage_per_item_hour / self.compute_per_item
 
     def break_even_window(self) -> float:

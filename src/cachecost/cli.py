@@ -118,7 +118,13 @@ def main(argv=None) -> int:
             else:
                 rows = validation_report(cfg, jobs=args.jobs)
                 columns = VALIDATION_COLUMNS
-        emit_csv(rows, sys.stdout if args.out is None else args.out, columns)
+        if args.out is None:
+            emit_csv(rows, sys.stdout, columns)
+        else:
+            try:
+                emit_csv(rows, args.out, columns)
+            except OSError as err:
+                raise ConfigError(f"cannot write {args.out}: {err.strerror}") from None
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

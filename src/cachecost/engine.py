@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Protocol
+from typing import Hashable, Iterable, NamedTuple, Protocol
 
 import numpy as np
 
 from .analytic import CostModel, _validate_ttl, keeps
 from .policies import PolicyVerdict, count_threshold
-from .workload import Columns, ItemId, Request
+from .workload import Columns
 
 __all__ = [
     "CostLedger",
@@ -39,7 +39,6 @@ __all__ = [
     "Verdicts",
     "by_item",
     "cost_per_request",
-    "global_ttl_ledger",
     "global_ttl_verdicts",
     "individual_ttl_verdicts",
     "known_rate_verdicts",
@@ -54,7 +53,7 @@ class InvariantViolation(RuntimeError):
 
 
 class Policy(Protocol):
-    def on_request(self, item: ItemId, now: float) -> PolicyVerdict: ...
+    def on_request(self, item: Hashable, now: float) -> PolicyVerdict: ...
 
 
 @dataclass(frozen=True)
@@ -95,13 +94,14 @@ def _check_warmup(warmup: float) -> float:
 
 
 def run(
-    trace: Iterable[Request],
+    trace: Iterable[tuple[float, Hashable]],
     policy: Policy,
     costs: CostModel,
     *,
     warmup: float = 0.0,
 ) -> CostLedger:
-    """Replay `trace` under `policy` and price it with `costs`.
+    """Replay `trace`, `(time, item)` pairs, under `policy` and price it
+    with `costs`.
 
     The trace must be nondecreasing in time. With warmup > 0, requests
     before the threshold still drive the policy but are not counted, and
@@ -110,7 +110,7 @@ def run(
     """
     warmup = _check_warmup(warmup)
     on_request = policy.on_request
-    residency: dict[ItemId, list[float]] = {}
+    residency: dict[Hashable, list[float]] = {}
     item_hours = 0.0
     requests = 0
     hits = 0
@@ -354,16 +354,3 @@ def run_length_ledger(
         transmission_dollars=requests * costs.transmission_per_item,
         span=items.t_end - items.t_first,
     )
-
-
-def global_ttl_ledger(
-    trace: Columns,
-    ttl: float,
-    costs: CostModel,
-    *,
-    warmup: float = 0.0,
-) -> CostLedger:
-    """The ledger of `run(trace, GlobalTtlPolicy(ttl), costs, warmup=warmup)`,
-    priced from columns by `run_length_ledger`."""
-    items = by_item(trace)
-    return run_length_ledger(items, global_ttl_verdicts(items, ttl), costs, warmup=warmup)

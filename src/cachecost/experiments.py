@@ -56,7 +56,6 @@ from .workload import (
     Columns,
     TraceFormatError,
     _synthetic_blocks,
-    blocks_of,
     columns_of,
     overlay_ads,
     parse_count_trace,
@@ -461,7 +460,10 @@ def _grid(section: str, key: str, grid: Sequence) -> list:
 
 def _file_lines(path: str) -> Iterator[str]:
     with open(path, "r", encoding="utf-8") as handle:
-        yield from handle
+        try:
+            yield from handle
+        except UnicodeDecodeError as err:
+            raise TraceFormatError(f"{path} is not UTF-8 text: {err.reason}") from None
 
 
 def _trace_child_seeds(seed: int) -> tuple[int, int, int]:
@@ -479,10 +481,10 @@ def build_trace(cfg: ExperimentConfig, seed: int) -> Iterator[Columns]:
         records = parse_count_trace(_file_lines(cfg.workload.path))
         if cfg.workload.subsample is not None:
             records = subsample_records(records, cfg.workload.subsample, sub_seed)
-        blocks = blocks_of(synthesize_from_counts(records, synth_seed))
+        blocks = synthesize_from_counts(records, synth_seed)
     else:
         # request trace: overlay only when the file carries no ad ids
-        blocks = blocks_of(parse_request_trace(_file_lines(cfg.workload.path)))
+        blocks = parse_request_trace(_file_lines(cfg.workload.path))
         first = next(blocks, None)
         if first is None:
             return iter(())

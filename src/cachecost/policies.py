@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .analytic import CostModel, _validate_ttl, keeps
-from .workload import ItemId, Request
 
 __all__ = [
     "GlobalTtlPolicy",
@@ -43,7 +42,7 @@ class PolicyVerdict(NamedTuple):
 
     hit: bool
     store_until: "float | None"
-    evicted: "tuple[ItemId, ...]" = ()
+    evicted: "tuple[Hashable, ...]" = ()
 
 
 def _check_clock(policy, now: float) -> float:
@@ -67,10 +66,10 @@ class GlobalTtlPolicy:
 
     def __init__(self, ttl: float):
         self.ttl = _validate_ttl(ttl)
-        self._deadline: dict[ItemId, float] = {}
+        self._deadline: dict[Hashable, float] = {}
         self._clock = -math.inf
 
-    def on_request(self, item: ItemId, now: float) -> PolicyVerdict:
+    def on_request(self, item: Hashable, now: float) -> PolicyVerdict:
         now = _check_clock(self, now)
         ttl = self.ttl
         if ttl == 0.0:
@@ -123,11 +122,11 @@ class IndividualTtlPolicy:
         self.costs = costs
         self.count_threshold = count_threshold(window, costs)
         # the last count_threshold request times of each item, oldest first
-        self._recent: dict[ItemId, tuple[float, ...]] = {}
-        self._until: dict[ItemId, float] = {}
+        self._recent: dict[Hashable, tuple[float, ...]] = {}
+        self._until: dict[Hashable, float] = {}
         self._clock = -math.inf
 
-    def on_request(self, item: ItemId, now: float) -> PolicyVerdict:
+    def on_request(self, item: Hashable, now: float) -> PolicyVerdict:
         now = _check_clock(self, now)
         until = self._until.get(item)
         # Residency decided at the previous request lapses exactly when the
@@ -156,13 +155,13 @@ class PerfectRatePolicy:
     separate estimation error from policy error in validation runs.
     """
 
-    def __init__(self, costs: CostModel, rate_of: Callable[[ItemId], float]):
+    def __init__(self, costs: CostModel, rate_of: Callable[[Hashable], float]):
         self.costs = costs
         self._rate_of = rate_of
-        self._resident: set[ItemId] = set()
+        self._resident: set[Hashable] = set()
         self._clock = -math.inf
 
-    def on_request(self, item: ItemId, now: float) -> PolicyVerdict:
+    def on_request(self, item: Hashable, now: float) -> PolicyVerdict:
         now = _check_clock(self, now)
         if item in self._resident:
             return PolicyVerdict(True, math.inf)
@@ -172,14 +171,14 @@ class PerfectRatePolicy:
         return PolicyVerdict(False, None)
 
 
-def next_request_times(requests: Sequence[Request]) -> "list[float | None]":
+def next_request_times(requests: Sequence[tuple[float, Hashable]]) -> "list[float | None]":
     """For each request, the time of the next request for the same item.
 
     None where no later request exists. One reverse pass; the input must
     already be materialized (a clairvoyant rule cannot be streamed).
     """
     out: "list[float | None]" = [None] * len(requests)
-    upcoming: dict[ItemId, float] = {}
+    upcoming: dict[Hashable, float] = {}
     for i in range(len(requests) - 1, -1, -1):
         time, item = requests[i]
         out[i] = upcoming.get(item)
@@ -204,10 +203,10 @@ class LowerBoundPolicy:
         self.costs = costs
         self._next_times = iter(next_times)
         self._gap_limit = costs.break_even_window()
-        self._until: dict[ItemId, float] = {}
+        self._until: dict[Hashable, float] = {}
         self._clock = -math.inf
 
-    def on_request(self, item: ItemId, now: float) -> PolicyVerdict:
+    def on_request(self, item: Hashable, now: float) -> PolicyVerdict:
         now = _check_clock(self, now)
         try:
             next_time = next(self._next_times)
@@ -238,13 +237,13 @@ class LruPolicy:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._recency: "OrderedDict[ItemId, None]" = OrderedDict()
+        self._recency: "OrderedDict[Hashable, None]" = OrderedDict()
         self._clock = -math.inf
 
     def __len__(self) -> int:
         return len(self._recency)
 
-    def on_request(self, item: ItemId, now: float) -> PolicyVerdict:
+    def on_request(self, item: Hashable, now: float) -> PolicyVerdict:
         now = _check_clock(self, now)
         recency = self._recency
         if item in recency:

@@ -1,12 +1,13 @@
-"""Request stream generation and trace file parsing.
+"""Trace generation and trace file parsing.
 
 A trace is time-ordered, with timestamps in hours from an arbitrary zero.
-It streams as `Columns` blocks: parallel arrays of times, movie ids and ad
-ids. Synthetic traces are drawn block by block, and a parsed or
-synthesized `Request` stream is cut into blocks of `BLOCK_REQUESTS` by
-`blocks_of`. `requests_of` turns blocks back into `Request` values for
-the event engine, and `columns_of` joins them for vectorized pricing.
-Only a caller that joins or lists the blocks holds a whole trace.
+Every producer streams it as `Columns` blocks: parallel arrays of times,
+movie ids and ad ids, with an unassigned ad stored as -1. `columns_of`
+joins the blocks for vectorized pricing. One request on its own is a plain
+pair `(time, (movie, ad))`: `requests_of` turns blocks into such pairs for
+the event engine, and `blocks_of` cuts pairs back into blocks of
+`BLOCK_REQUESTS`. Only a caller that joins or lists the blocks holds a
+whole trace.
 
 Two text formats are supported, both UTF-8, comma separated, with `#`
 comment lines and `.` as the decimal point:
@@ -25,7 +26,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -35,8 +37,6 @@ from .analytic import PopulationModel, ZipfLaw
 __all__ = [
     "Columns",
     "CountTraceRecord",
-    "ItemId",
-    "Request",
     "TraceFormatError",
     "blocks_of",
     "columns_of",
@@ -51,23 +51,11 @@ __all__ = [
 
 
 MAX_ID = 2**63 - 1  # largest movie or ad id: the int64 maximum
-# Requests per block when a Request stream is cut into Columns.
+# Requests per block of a parsed or synthesized trace.
 BLOCK_REQUESTS = 4096
 # Arrivals per synthetic draw block. The draws interleave per block, so
 # this is part of what a seed means.
 _SYNTHETIC_BLOCK = 8192
-
-
-class ItemId(NamedTuple):
-    """Identity of a cacheable item. `ad` is None until an ad is assigned."""
-
-    movie: int
-    ad: "int | None" = None
-
-
-class Request(NamedTuple):
-    time: float
-    item: ItemId
 
 
 class Columns(NamedTuple):
@@ -132,34 +120,34 @@ def _synthetic_blocks(
 
 
 def gen_synthetic(
-    population: PopulationModel,
-    duration: float,
-    seed: int,
-    *,
-    block_size: int = _SYNTHETIC_BLOCK,
-) -> Iterator[Request]:
-    """Poisson arrivals over [0, duration) with population-drawn items.
+    population: PopulationModel, duration: float, seed: int
+) -> Iterator[tuple[float, tuple[int, int]]]:
+    """Poisson arrivals over [0, duration) with population-drawn items,
+    as `(time, (movie, ad))` pairs.
 
     Interarrival gaps are exponential at the global rate; each arrival is
     an independent (movie, ad) draw. One seeded generator drives the whole
     stream, so a (population, duration, seed) triple is reproducible. The
     stream is produced block by block and never held in memory at once.
     """
-    return requests_of(_synthetic_blocks(population, duration, seed, block_size))
+    return requests_of(_synthetic_blocks(population, duration, seed))
 
 
-def blocks_of(requests: Iterable[Request]) -> Iterator[Columns]:
-    """Cut a request stream into blocks of `BLOCK_REQUESTS`; an unset ad
-    becomes -1. The last block may be shorter; an empty stream gives none."""
+def _block(times: Sequence[float], movies: Sequence[int], ads: Sequence[int]) -> Columns:
+    return Columns(
+        np.array(times, dtype=np.float64),
+        np.array(movies, dtype=np.int64),
+        np.array(ads, dtype=np.int64),
+    )
+
+
+def blocks_of(requests: Iterable[tuple[float, tuple[int, int]]]) -> Iterator[Columns]:
+    """Cut `(time, (movie, ad))` pairs into blocks of `BLOCK_REQUESTS`. The
+    last block may be shorter; no pairs give no blocks."""
     it = iter(requests)
     while chunk := list(islice(it, BLOCK_REQUESTS)):
         times, items = zip(*chunk)
-        movies, ads = zip(*items)
-        yield Columns(
-            np.array(times, dtype=np.float64),
-            np.array(movies, dtype=np.int64),
-            np.array([-1 if ad is None else ad for ad in ads], dtype=np.int64),
-        )
+        yield _block(times, *zip(*items))
 
 
 _NO_REQUESTS = Columns(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
@@ -170,14 +158,12 @@ def columns_of(blocks: Iterable[Columns]) -> Columns:
     return Columns(*map(np.concatenate, zip(_NO_REQUESTS, *blocks)))
 
 
-def requests_of(blocks: Iterable[Columns]) -> Iterator[Request]:
-    """The requests of a block stream, one at a time, in trace order.
-
-    Ids are passed on as stored: an unset ad stays -1.
-    """
-    for times, movies, ads in blocks:
-        for time, movie, ad in zip(times.tolist(), movies.tolist(), ads.tolist()):
-            yield Request(time, ItemId(movie, ad))
+def requests_of(blocks: Iterable[Columns]) -> Iterator[tuple[float, tuple[int, int]]]:
+    """The requests of a block stream as `(time, (movie, ad))` pairs, in
+    trace order; the inverse of `blocks_of`."""
+    return chain.from_iterable(
+        zip(times.tolist(), zip(movies.tolist(), ads.tolist())) for times, movies, ads in blocks
+    )
 
 
 def _data_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -189,15 +175,20 @@ def _data_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
         yield no, text
 
 
-def parse_request_trace(lines: Iterable[str]) -> Iterator[Request]:
-    """Parse a request trace, validating order and field ranges as it streams.
+def parse_request_trace(lines: Iterable[str]) -> Iterator[Columns]:
+    """Parse a request trace into blocks of `BLOCK_REQUESTS`, validating
+    order and field ranges as it streams.
 
     The first data line fixes whether the file carries ad ids; a later line
-    with the other arity is an error. Timestamps must be finite, >= 0 and
-    nondecreasing. Raises TraceFormatError with the offending line number.
+    with the other arity is an error, and without them every ad is -1.
+    Timestamps must be finite, >= 0 and nondecreasing. Raises
+    TraceFormatError with the offending line number.
     """
     arity: "int | None" = None
     prev = -1.0
+    times: list[float] = []
+    movies: list[int] = []
+    ads: list[int] = []
     for no, text in _data_lines(lines):
         fields = text.split(",")
         if len(fields) not in (2, 3):
@@ -227,7 +218,7 @@ def parse_request_trace(lines: Iterable[str]) -> Iterator[Request]:
             raise TraceFormatError(f"bad movie id {fields[1]!r}", no) from None
         if not 1 <= movie <= MAX_ID:
             raise TraceFormatError(f"movie id must be in [1, 2**63 - 1], got {movie}", no)
-        ad: "int | None" = None
+        ad = -1
         if arity == 3:
             try:
                 ad = int(fields[2])
@@ -235,7 +226,14 @@ def parse_request_trace(lines: Iterable[str]) -> Iterator[Request]:
                 raise TraceFormatError(f"bad ad id {fields[2]!r}", no) from None
             if not 1 <= ad <= MAX_ID:
                 raise TraceFormatError(f"ad id must be in [1, 2**63 - 1], got {ad}", no)
-        yield Request(time, ItemId(movie, ad))
+        times.append(time)
+        movies.append(movie)
+        ads.append(ad)
+        if len(times) == BLOCK_REQUESTS:
+            yield _block(times, movies, ads)
+            times, movies, ads = [], [], []
+    if times:
+        yield _block(times, movies, ads)
 
 
 @dataclass(frozen=True)
@@ -250,14 +248,25 @@ class CountTraceRecord:
     def __post_init__(self) -> None:
         if not 1 <= self.movie <= MAX_ID:
             raise ValueError(f"movie id must be in [1, 2**63 - 1], got {self.movie}")
-        if self.total_views < 0:
-            raise ValueError(f"total views must be >= 0, got {self.total_views}")
+        if not 0 <= self.total_views <= MAX_ID:
+            raise ValueError(f"total views must be in [0, 2**63 - 1], got {self.total_views}")
         if not self.upload_time >= 0.0:
             raise ValueError(f"upload time must be >= 0, got {self.upload_time}")
+        if not math.isfinite(self.horizon):
+            raise ValueError(f"horizon must be finite, got {self.horizon}")
         if not self.horizon > self.upload_time:
             raise ValueError(
                 f"horizon must exceed upload time, got {self.horizon} <= {self.upload_time}"
             )
+        # Arrival times step by gaps of about this size; at or below the
+        # spacing of floats near the horizon they stop advancing.
+        if self.total_views:
+            gap = (self.horizon - self.upload_time) / self.total_views
+            if gap <= math.ulp(self.horizon):
+                raise ValueError(
+                    f"{self.total_views} views leave a mean gap of {gap!r} h, not above "
+                    f"the float spacing {math.ulp(self.horizon)!r} h at the horizon"
+                )
 
     @property
     def mean_rate(self) -> float:
@@ -309,34 +318,33 @@ def subsample_records(
 
 def _record_arrivals(
     record: CountTraceRecord, child_seed: np.random.SeedSequence
-) -> Iterator[Request]:
+) -> Iterator[tuple[float, tuple[int, int]]]:
     if record.total_views == 0:
         return
     rng = np.random.default_rng(child_seed)
     scale = 1.0 / record.mean_rate
-    item = ItemId(record.movie, None)
+    item = (record.movie, -1)
     t = record.upload_time
     while True:
         t += rng.exponential(scale)
         if t >= record.horizon:
             return
-        yield Request(t, item)
+        yield t, item
 
 
-def synthesize_from_counts(
-    records: Sequence[CountTraceRecord], seed: int
-) -> Iterator[Request]:
-    """Turn per-movie view counts into one merged Poisson request stream.
+def synthesize_from_counts(records: Sequence[CountTraceRecord], seed: int) -> Iterator[Columns]:
+    """Turn per-movie view counts into one merged Poisson request stream,
+    in blocks of `BLOCK_REQUESTS`.
 
     Each record becomes a homogeneous Poisson process at its mean rate over
     [upload_time, horizon); the per-record streams are merged in time
-    order. Ads are left unassigned. Each record gets its own child seed, so
-    the result is deterministic for a fixed record order and seed.
+    order. Ads are left unassigned (-1). Each record gets its own child
+    seed, so the result is deterministic for a fixed record order and seed.
     """
     seed = _validate_seed(seed)
     children = np.random.SeedSequence(seed).spawn(len(records))
     streams = [_record_arrivals(rec, child) for rec, child in zip(records, children)]
-    return heapq.merge(*streams, key=lambda req: req.time)
+    return blocks_of(heapq.merge(*streams, key=itemgetter(0)))
 
 
 def overlay_ads(blocks: Iterable[Columns], ads: ZipfLaw, seed: int) -> Iterator[Columns]:

@@ -30,7 +30,7 @@ from cachecost.cli import EXIT_OK, main
 from cachecost.engine import (
     by_item,
     cost_per_request,
-    global_ttl_ledger,
+    global_ttl_verdicts,
     lower_bound_verdicts,
     run,
     run_length_ledger,
@@ -166,9 +166,11 @@ def test_simulated_costs_match_closed_form(capsys):
         for seed in SEEDS:
             trace = _materialize(lam, duration, seed)
             columns = columns_of(_synthetic_blocks(pm, duration, seed))
+            items = by_item(columns)
             for ttl in FIXED_TTLS:
                 ledger = run(trace, GlobalTtlPolicy(ttl), COSTS, warmup=warmup)
-                if global_ttl_ledger(columns, ttl, COSTS, warmup=warmup) != ledger:
+                verdicts = global_ttl_verdicts(items, ttl)
+                if run_length_ledger(items, verdicts, COSTS, warmup=warmup) != ledger:
                     columnar_mismatches.append((lam, seed, ttl))
                 fewest_requests = min(fewest_requests, ledger.requests)
                 ttl_costs[ttl].append(cost_per_request(ledger))
@@ -210,7 +212,8 @@ def _true_rate_fn(pm):
     lam = pm.lambda_global
 
     def rate_of(item):
-        return lam * movie_p[item.movie - 1] * ad_p[item.ad - 1]
+        movie, ad = item
+        return lam * movie_p[movie - 1] * ad_p[ad - 1]
 
     return rate_of
 
@@ -423,13 +426,13 @@ def _gap_scan_price(trace) -> float:
     """First access pays a recompute; every revisit pays min(gap*S, C)."""
     last_seen = {}
     total = len(trace) * X
-    for req in trace:
-        prev = last_seen.get(req.item)
+    for time, item in trace:
+        prev = last_seen.get(item)
         if prev is None:
             total += C
         else:
-            total += min((req.time - prev) * S, C)
-        last_seen[req.item] = req.time
+            total += min((time - prev) * S, C)
+        last_seen[item] = time
     return total
 
 

@@ -15,7 +15,7 @@ from cachecost.engine import (
     Verdicts,
     by_item,
     cost_per_request,
-    global_ttl_ledger,
+    global_ttl_verdicts,
     individual_ttl_verdicts,
     known_rate_verdicts,
     lower_bound_verdicts,
@@ -33,19 +33,19 @@ from cachecost.policies import (
     next_request_times,
 )
 from cachecost.presets import default_cost_model
-from cachecost.workload import ItemId, Request, blocks_of, columns_of, gen_synthetic
+from cachecost.workload import blocks_of, columns_of, gen_synthetic
 
 COSTS = default_cost_model()
 S = COSTS.storage_per_item_hour
 C = COSTS.compute_per_item
 X = COSTS.transmission_per_item
 
-A = ItemId(1, 1)
-B = ItemId(2, 1)
+A = (1, 1)
+B = (2, 1)
 
 
 def _trace(*pairs):
-    return [Request(t, item) for t, item in pairs]
+    return list(pairs)
 
 
 # --- closed-form ledgers on tiny traces --------------------------------------
@@ -102,7 +102,7 @@ def test_zero_ttl_replays_as_pure_recompute():
 
 
 def test_lru_eviction_closes_storage_at_eviction_time():
-    trace = _trace((0.0, A), (1.0, B), (2.0, ItemId(3, 1)))
+    trace = _trace((0.0, A), (1.0, B), (2.0, (3, 1)))
     ledger = run(trace, LruPolicy(2), COSTS)
     # A resident [0, 2] until evicted, B [1, 2] and the newcomer [2, 2]
     # clipped by the trace end
@@ -114,10 +114,10 @@ def test_unbounded_lru_computes_once_per_distinct_item():
     pm = PopulationModel(ZipfLaw(40, 0.6), ZipfLaw(4, 0.8), 30.0)
     reqs = list(gen_synthetic(pm, 50.0, seed=7))
     ledger = run(reqs, LruPolicy(10**9), COSTS)
-    distinct = {r.item for r in reqs}
+    distinct = {item for _, item in reqs}
     assert ledger.computes == len(distinct)
     expected_hours = sum(
-        reqs[-1].time - min(r.time for r in reqs if r.item == item)
+        reqs[-1][0] - min(t for t, other in reqs if other == item)
         for item in distinct
     )
     assert ledger.storage_dollars == pytest.approx(expected_hours * S, rel=1e-9)
@@ -154,11 +154,11 @@ def _gap_replay_oracle(reqs, ttl, warmup):
     of the trace, and prices the three components directly.
     """
     per_item = {}
-    for r in reqs:
-        per_item.setdefault(r.item, []).append(r.time)
-    t_end = reqs[-1].time
+    for t, item in reqs:
+        per_item.setdefault(item, []).append(t)
+    t_end = reqs[-1][0]
 
-    requests = sum(1 for r in reqs if r.time >= warmup)
+    requests = sum(1 for t, _ in reqs if t >= warmup)
     hits = 0
     hours = 0.0
     for times in per_item.values():
@@ -297,7 +297,8 @@ def _engine_global_ttl(reqs, ttl, warmup=0.0):
 
 
 def _columnar_global_ttl(reqs, ttl, warmup=0.0):
-    return global_ttl_ledger(columns_of(blocks_of(reqs)), ttl, COSTS, warmup=warmup)
+    items = by_item(columns_of(blocks_of(reqs)))
+    return run_length_ledger(items, global_ttl_verdicts(items, ttl), COSTS, warmup=warmup)
 
 
 @pytest.mark.parametrize("price", [_engine_global_ttl, _columnar_global_ttl])
@@ -318,7 +319,7 @@ def test_nan_or_regressing_time_is_rejected(price, pairs):
 # --- columnar global TTL against the engine as oracle --------------------------
 
 
-ITEMS = [ItemId(m, a) for m in (1, 2) for a in (None, 1, 2)]
+ITEMS = [(m, a) for m in (1, 2) for a in (-1, 1, 2)]
 
 
 @st.composite
@@ -334,8 +335,8 @@ def _ttl_cases(draw):
     time, reqs = origin, []
     for gap in gaps:
         time += gap
-        reqs.append(Request(time, draw(st.sampled_from(ITEMS))))
-    times = [r.time for r in reqs]
+        reqs.append((time, draw(st.sampled_from(ITEMS))))
+    times = [t for t, _ in reqs]
     # A ttl equal to a rounded difference of two times lands on a deadline
     # where prev + ttl >= t and t - prev <= ttl disagree.
     spans = [b - a for i, a in enumerate(times) for b in times[i + 1 :]]
@@ -346,7 +347,7 @@ def _ttl_cases(draw):
             st.sampled_from(spans or [1.0]),
         )
     )
-    t_end = reqs[-1].time if reqs else 0.0
+    t_end = reqs[-1][0] if reqs else 0.0
     warmup = draw(
         st.one_of(
             st.just(0.0),
@@ -359,10 +360,10 @@ def _ttl_cases(draw):
 
 
 def _event_crc(reqs):
-    """crc32 folded over each request packed alone as `<dqq`; unset ad = -1."""
+    """crc32 folded over each request packed alone as `<dqq`."""
     crc = 0
     for time, (movie, ad) in reqs:
-        crc = zlib.crc32(struct.pack("<dqq", time, movie, -1 if ad is None else ad), crc)
+        crc = zlib.crc32(struct.pack("<dqq", time, movie, ad), crc)
     return crc
 
 
@@ -411,8 +412,8 @@ def _kernel_cases(draw):
     time, reqs = origin, []
     for gap in gaps:
         time += gap
-        reqs.append(Request(time, draw(st.sampled_from(ITEMS))))
-    times = [r.time for r in reqs] or [0.0]
+        reqs.append((time, draw(st.sampled_from(ITEMS))))
+    times = [t for t, _ in reqs] or [0.0]
     warmup = draw(
         st.one_of(
             st.just(0.0),
@@ -469,7 +470,7 @@ def test_kernel_equals_the_engine_on_any_valid_verdicts(case, data):
 # 12.019 - 3.3 rounds to the first mark exactly, but the mark plus 3.3 rounds
 # past 12.019: only a strict `mark > t - window` keeps the tied third request
 # a miss.
-@example(([Request(8.719000000000001, A), Request(12.019, A), Request(12.019, A)], 0.0), 3.3)
+@example(([(8.719000000000001, A), (12.019, A), (12.019, A)], 0.0), 3.3)
 def test_kernel_individual_ttl_equals_the_engine(case, window):
     reqs, warmup = case
     want = run(reqs, IndividualTtlPolicy(window, HALF_RATE), HALF_RATE, warmup=warmup)
@@ -496,7 +497,7 @@ def test_kernel_known_rate_equals_the_engine(case, item_rates):
     reqs, warmup = case
     rate_of = dict(zip(ITEMS, item_rates))
     want = run(reqs, PerfectRatePolicy(HALF_RATE, rate_of.__getitem__), HALF_RATE, warmup=warmup)
-    rates = np.array([rate_of[r.item] for r in reqs])
+    rates = np.array([rate_of[item] for _, item in reqs])
     assert _kernel_ledger(reqs, lambda items: known_rate_verdicts(items, rates, HALF_RATE), warmup) == want
 
 
@@ -507,9 +508,10 @@ def test_kernel_equals_the_engine_on_synthetic_traces():
     movie_p, ad_p = pm.movies.probabilities, pm.ads.probabilities
 
     def rate_of(item):
-        return pm.lambda_global * movie_p[item.movie - 1] * ad_p[item.ad - 1]
+        movie, ad = item
+        return pm.lambda_global * movie_p[movie - 1] * ad_p[ad - 1]
 
-    rates = np.array([rate_of(r.item) for r in reqs])
+    rates = np.array([rate_of(item) for _, item in reqs])
     window = COSTS.break_even_window()
     kinds = [
         (lambda: IndividualTtlPolicy(window / 50, COSTS), individual_ttl_verdicts(items, window / 50, COSTS)),

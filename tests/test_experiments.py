@@ -309,7 +309,7 @@ source = request_trace
 path = {trace}
 """)
     reqs = _requests(cfg, 1)
-    assert [(r.time, r.item.movie, r.item.ad) for r in reqs] == [
+    assert [(t, movie, ad) for t, (movie, ad) in reqs] == [
         (0.0, 3, 2),
         (1.0, 4, 1),
     ]
@@ -330,9 +330,9 @@ ad_catalog = 5
 ad_exponent = 0.9
 """)
     reqs = _requests(cfg, 3)
-    assert [r.time for r in reqs] == [float(t) for t in range(10)]
-    assert all(r.item.movie == 7 for r in reqs)
-    assert all(r.item.ad is not None and 1 <= r.item.ad <= 5 for r in reqs)
+    assert [t for t, _ in reqs] == [float(t) for t in range(10)]
+    assert all(movie == 7 for _, (movie, _) in reqs)
+    assert all(ad != -1 and 1 <= ad <= 5 for _, (_, ad) in reqs)
     assert _requests(cfg, 3) == reqs
     assert _requests(cfg, 4) != reqs
 
@@ -385,8 +385,8 @@ subsample = 1.0
 """)
     reqs = _requests(cfg, 5)
     assert reqs
-    assert all(r.item.ad is not None for r in reqs)
-    assert all(0.0 <= r.time <= 48.0 for r in reqs)
+    assert all(ad != -1 for _, (_, ad) in reqs)
+    assert all(0.0 <= t <= 48.0 for t, _ in reqs)
     assert _requests(cfg, 5) == reqs
     assert _requests(cfg, 6) != reqs
 
@@ -550,7 +550,8 @@ def test_run_rows_equal_the_engine_with_the_policy_class(policy):
     movie_p, ad_p = pm.movies.probabilities, pm.ads.probabilities
 
     def rate_of(item):
-        return pm.lambda_global * movie_p[item.movie - 1] * ad_p[item.ad - 1]
+        movie, ad = item
+        return pm.lambda_global * movie_p[movie - 1] * ad_p[ad - 1]
 
     for seed in cfg.seeds:
         requests = _requests(cfg, seed)

@@ -3,10 +3,12 @@
 Every golden was produced by the command listed in its recipe config.
 These tests rerun the exact command and demand identical output, so any
 drift in trace synthesis, policy decisions, accounting or CSV formatting
-shows up as a diff.
+shows up as a diff. The bundled count traces are checked against the
+script that makes them.
 """
 
 import csv
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from cachecost.cli import EXIT_OK, main
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
 GOLDEN = CONFIGS / "golden"
+DATA = REPO / "src" / "cachecost" / "data"
 
 CASES = {
     "smoke_run.csv": [
@@ -83,3 +86,19 @@ def test_frozen_analytic_table_shape():
     )
     costs = {r["evaluator"]: float(r["cost_per_request"]) for r in rows[3:]}
     assert costs["lower_bound"] <= costs["individual_ttl"] <= costs["optimal_global_ttl"]
+
+
+def _bundled_traces_tool():
+    spec = importlib.util.spec_from_file_location(
+        "make_bundled_traces", REPO / "tools" / "make_bundled_traces.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bundled_traces_regenerate_identically():
+    tool = _bundled_traces_tool()
+    assert sorted(tool.CATALOGS) == sorted(p.name for p in DATA.glob("*.csv"))
+    for name, params in tool.CATALOGS.items():
+        assert tool._make_catalog(**params).encode("utf-8") == (DATA / name).read_bytes(), name

@@ -19,15 +19,15 @@ from cachecost.policies import (
     next_request_times,
 )
 from cachecost.presets import default_cost_model
-from cachecost.workload import ItemId, Request, gen_synthetic
+from cachecost.workload import gen_synthetic
 
 COSTS = default_cost_model()
 BREAK_EVEN_RATE = COSTS.break_even_rate()      # S/C
 BREAK_EVEN_WINDOW = COSTS.break_even_window()  # C/S
 
-A = ItemId(1, 1)
-B = ItemId(2, 1)
-C_ITEM = ItemId(3, 1)
+A = (1, 1)
+B = (2, 1)
+C_ITEM = (3, 1)
 
 
 def _drive(policy, sequence):
@@ -288,18 +288,18 @@ def test_perfect_rate_consults_rate_per_item():
 
 def test_next_request_times_aligns_per_item():
     reqs = [
-        Request(0.0, A),
-        Request(1.0, B),
-        Request(2.0, A),
-        Request(3.0, A),
-        Request(4.0, B),
+        (0.0, A),
+        (1.0, B),
+        (2.0, A),
+        (3.0, A),
+        (4.0, B),
     ]
     assert next_request_times(reqs) == [2.0, 4.0, 3.0, None, None]
 
 
 def test_lower_bound_keeps_cheap_gaps():
     gap = BREAK_EVEN_WINDOW / 2
-    reqs = [Request(0.0, A), Request(gap, A)]
+    reqs = [(0.0, A), (gap, A)]
     policy = LowerBoundPolicy(COSTS, next_request_times(reqs))
     first = policy.on_request(A, 0.0)
     second = policy.on_request(A, gap)
@@ -310,7 +310,7 @@ def test_lower_bound_keeps_cheap_gaps():
 
 def test_lower_bound_tie_gap_recomputes():
     gap = BREAK_EVEN_WINDOW
-    reqs = [Request(0.0, A), Request(gap, A)]
+    reqs = [(0.0, A), (gap, A)]
     policy = LowerBoundPolicy(COSTS, next_request_times(reqs))
     first = policy.on_request(A, 0.0)
     second = policy.on_request(A, gap)
@@ -319,16 +319,16 @@ def test_lower_bound_tie_gap_recomputes():
 
 
 def test_lower_bound_never_stores_after_final_request():
-    reqs = [Request(0.0, A), Request(1.0, A)]
+    reqs = [(0.0, A), (1.0, A)]
     policy = LowerBoundPolicy(COSTS, next_request_times(reqs))
     policy.on_request(A, 0.0)
     assert policy.on_request(A, 1.0).store_until is None
 
 
 def test_lower_bound_interleaved_items():
-    reqs = [Request(0.0, A), Request(1.0, B), Request(2.0, A)]
+    reqs = [(0.0, A), (1.0, B), (2.0, A)]
     policy = LowerBoundPolicy(COSTS, next_request_times(reqs))
-    v = _drive(policy, [(r.time, r.item) for r in reqs])
+    v = _drive(policy, reqs)
     assert [x.hit for x in v] == [False, False, True]
 
 
@@ -373,8 +373,8 @@ def test_lru_hit_refreshes_recency():
 def test_lru_never_exceeds_capacity():
     policy = LruPolicy(3)
     pm = PopulationModel(ZipfLaw(20, 0.5), ZipfLaw(3, 0.5), 40.0)
-    for req in gen_synthetic(pm, 25.0, seed=2):
-        policy.on_request(req.item, req.time)
+    for time, item in gen_synthetic(pm, 25.0, seed=2):
+        policy.on_request(item, time)
         assert len(policy) <= 3
 
 

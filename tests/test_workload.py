@@ -9,8 +9,6 @@ from cachecost.analytic import PopulationModel, ZipfLaw
 from cachecost.presets import default_population
 from cachecost.workload import (
     CountTraceRecord,
-    ItemId,
-    Request,
     TraceFormatError,
     _synthetic_blocks,
     blocks_of,
@@ -56,19 +54,19 @@ def test_synthetic_degenerate_catalog_is_single_item():
     pm = PopulationModel(ZipfLaw(1, 0.8), ZipfLaw(1, 0.94), 50.0)
     reqs = list(gen_synthetic(pm, 20.0, seed=1))
     assert reqs
-    assert all(r.item == ItemId(1, 1) for r in reqs)
+    assert all(item == (1, 1) for _, item in reqs)
 
 
 def test_synthetic_times_are_increasing_and_in_range():
     pm = default_population(200.0)
-    times = [r.time for r in gen_synthetic(pm, 50.0, seed=9)]
+    times = [t for t, _ in gen_synthetic(pm, 50.0, seed=9)]
     assert all(0.0 <= t < 50.0 for t in times)
     assert all(a < b for a, b in zip(times, times[1:]))
 
 
 def test_synthetic_interarrival_mean():
     pm = default_population(100.0)
-    times = np.array([r.time for r in gen_synthetic(pm, 1200.0, seed=3)])
+    times = np.array([t for t, _ in gen_synthetic(pm, 1200.0, seed=3)])
     gaps = np.diff(times)
     assert len(gaps) >= 100_000
     se = (1.0 / 100.0) / math.sqrt(len(gaps))
@@ -77,7 +75,7 @@ def test_synthetic_interarrival_mean():
 
 def test_synthetic_movie_ranks_follow_zipf():
     pm = default_population(100.0)
-    ranks = np.array([r.item.movie for r in gen_synthetic(pm, 2000.0, seed=17)])
+    ranks = np.array([movie for _, (movie, _) in gen_synthetic(pm, 2000.0, seed=17)])
     stat = _rank_chi2(ranks, pm.movies, top=100, n=len(ranks))
     assert stat < CHI2_999[100]
 
@@ -87,12 +85,12 @@ def test_synthetic_item_rates_thin_correctly():
     pm = default_population(300.0)
     duration = 600.0
     counts = {}
-    for r in gen_synthetic(pm, duration, seed=29):
-        counts[r.item] = counts.get(r.item, 0) + 1
+    for _, item in gen_synthetic(pm, duration, seed=29):
+        counts[item] = counts.get(item, 0) + 1
     for movie in (1, 2, 3, 4, 5):
         for ad in (1, 2):
             expected = pm.item_rate(movie, ad) * duration
-            got = counts.get(ItemId(movie, ad), 0)
+            got = counts.get((movie, ad), 0)
             assert abs(got - expected) < 3 * math.sqrt(expected) + 1
     total = sum(counts.values())
     assert abs(total - 300.0 * duration) < 3 * math.sqrt(300.0 * duration)
@@ -144,14 +142,14 @@ def test_synthetic_columns_equal_the_request_stream(duration, block_size):
         np.int64,
     )
     rebuilt = [
-        Request(t, ItemId(m, a))
+        (t, (m, a))
         for t, m, a in zip(cols.times.tolist(), cols.movies.tolist(), cols.ads.tolist())
     ]
-    assert rebuilt == list(gen_synthetic(pm, duration, 3, block_size=block_size))
+    assert rebuilt == list(requests_of(_synthetic_blocks(pm, duration, 3, block_size)))
 
 
 def test_collect_columns_stores_an_unset_ad_as_minus_one():
-    cols = columns_of(blocks_of([Request(0.5, ItemId(4, None)), Request(2.0, ItemId(5, 3))]))
+    cols = columns_of(blocks_of([(0.5, (4, -1)), (2.0, (5, 3))]))
     assert cols.times.tolist() == [0.5, 2.0]
     assert cols.movies.tolist() == [4, 5]
     assert cols.ads.tolist() == [-1, 3]
@@ -163,19 +161,23 @@ def test_collect_columns_stores_an_unset_ad_as_minus_one():
 # --- request trace parsing --------------------------------------------------
 
 
+def _parse(lines):
+    return list(requests_of(parse_request_trace(lines)))
+
+
 def test_parse_empty_input_yields_nothing():
     assert list(parse_request_trace([])) == []
     assert list(parse_request_trace(["# only a comment", "", "   "])) == []
 
 
 def test_parse_three_column_lines():
-    reqs = list(parse_request_trace(["0.0,17,3", "1.5,17,3"]))
-    assert reqs == [Request(0.0, ItemId(17, 3)), Request(1.5, ItemId(17, 3))]
+    reqs = _parse(["0.0,17,3", "1.5,17,3"])
+    assert reqs == [(0.0, (17, 3)), (1.5, (17, 3))]
 
 
 def test_parse_two_column_lines_leave_ad_unset():
-    reqs = list(parse_request_trace(["0.25,4", "0.5,9"]))
-    assert reqs == [Request(0.25, ItemId(4, None)), Request(0.5, ItemId(9, None))]
+    reqs = _parse(["0.25,4", "0.5,9"])
+    assert reqs == [(0.25, (4, -1)), (0.5, (9, -1))]
 
 
 def test_parse_skips_comments_and_blanks_keeping_line_numbers():
@@ -193,8 +195,8 @@ def test_parse_timestamp_regression_reports_line():
 
 
 def test_parse_equal_timestamps_allowed_in_file_order():
-    reqs = list(parse_request_trace(["5.0,1,1", "5.0,2,2"]))
-    assert [r.item.movie for r in reqs] == [1, 2]
+    reqs = _parse(["5.0,1,1", "5.0,2,2"])
+    assert [movie for _, (movie, _) in reqs] == [1, 2]
 
 
 @pytest.mark.parametrize(
@@ -223,7 +225,7 @@ def test_parse_rejects_malformed_lines(line, fragment):
 
 def test_parse_accepts_the_largest_int64_ids():
     top = 2**63 - 1
-    assert list(parse_request_trace([f"1.0,{top},{top}"])) == [Request(1.0, ItemId(top, top))]
+    assert _parse([f"1.0,{top},{top}"]) == [(1.0, (top, top))]
 
 
 def test_parse_rejects_mixed_arity():
@@ -261,12 +263,19 @@ def test_parse_count_trace_basic():
         "7,10.0,5,9.0",       # horizon before upload
         "7,-1.0,5,9.0",       # negative upload
         "7,a,5,9.0",          # bad number
+        "7,0.0,5,inf",        # infinite horizon
+        "7,0.0," + "9" * 400 + ",48.0",  # views past int64
+        "7,1000000.0,1000000000000000000,1000001.0",  # mean gap below float spacing
     ],
 )
 def test_parse_count_trace_rejects_bad_records(line):
     with pytest.raises(TraceFormatError) as err:
         parse_count_trace([line])
     assert err.value.line_no == 1
+
+
+def _synthesize(records, seed):
+    return list(requests_of(synthesize_from_counts(records, seed)))
 
 
 def test_zero_view_record_contributes_nothing():
@@ -276,10 +285,10 @@ def test_zero_view_record_contributes_nothing():
 
 def test_synthesis_count_matches_poisson_band():
     recs = [CountTraceRecord(movie=3, upload_time=10.0, total_views=4000, horizon=210.0)]
-    reqs = list(synthesize_from_counts(recs, seed=11))
+    reqs = _synthesize(recs, seed=11)
     assert abs(len(reqs) - 4000) < 3 * math.sqrt(4000)
-    assert all(10.0 <= r.time < 210.0 for r in reqs)
-    assert all(r.item == ItemId(3, None) for r in reqs)
+    assert all(10.0 <= t < 210.0 for t, _ in reqs)
+    assert all(item == (3, -1) for _, item in reqs)
 
 
 def test_synthesis_merges_disjoint_windows_in_order():
@@ -287,11 +296,11 @@ def test_synthesis_merges_disjoint_windows_in_order():
         CountTraceRecord(movie=1, upload_time=100.0, total_views=200, horizon=150.0),
         CountTraceRecord(movie=2, upload_time=0.0, total_views=200, horizon=50.0),
     ]
-    reqs = list(synthesize_from_counts(recs, seed=2))
-    times = [r.time for r in reqs]
+    reqs = _synthesize(recs, seed=2)
+    times = [t for t, _ in reqs]
     assert times == sorted(times)
-    switch = next(i for i, r in enumerate(reqs) if r.item.movie == 1)
-    assert all(r.item.movie == 2 for r in reqs[:switch])
+    switch = next(i for i, (_, (movie, _)) in enumerate(reqs) if movie == 1)
+    assert all(movie == 2 for _, (movie, _) in reqs[:switch])
 
 
 def test_synthesis_interleaves_overlapping_windows_in_order():
@@ -299,17 +308,17 @@ def test_synthesis_interleaves_overlapping_windows_in_order():
         CountTraceRecord(movie=m, upload_time=0.0, total_views=500, horizon=100.0)
         for m in (1, 2, 3)
     ]
-    reqs = list(synthesize_from_counts(recs, seed=7))
-    times = [r.time for r in reqs]
+    reqs = _synthesize(recs, seed=7)
+    times = [t for t, _ in reqs]
     assert times == sorted(times)
-    assert {r.item.movie for r in reqs} == {1, 2, 3}
+    assert {movie for _, (movie, _) in reqs} == {1, 2, 3}
 
 
 def test_synthesis_is_deterministic_and_seed_sensitive():
     recs = parse_count_trace(["1,0.0,300,100.0", "2,5.0,200,80.0"])
-    a = list(synthesize_from_counts(recs, seed=13))
-    b = list(synthesize_from_counts(recs, seed=13))
-    c = list(synthesize_from_counts(recs, seed=14))
+    a = _synthesize(recs, seed=13)
+    b = _synthesize(recs, seed=13)
+    c = _synthesize(recs, seed=14)
     assert a == b
     assert a != c
 
@@ -343,37 +352,37 @@ def _overlay(reqs, law, seed):
 def test_overlay_preserves_length_times_and_movies():
     pm = default_population(80.0)
     base = list(gen_synthetic(pm, 50.0, seed=31))
-    stripped = [Request(r.time, ItemId(r.item.movie, None)) for r in base]
+    stripped = [(t, (movie, -1)) for t, (movie, _) in base]
     dressed = _overlay(stripped, ZipfLaw(5000, 0.94), 6)
     assert len(dressed) == len(stripped)
-    assert [r.time for r in dressed] == [r.time for r in stripped]
-    assert [r.item.movie for r in dressed] == [r.item.movie for r in stripped]
-    assert all(1 <= r.item.ad <= 5000 for r in dressed)
+    assert [t for t, _ in dressed] == [t for t, _ in stripped]
+    assert [movie for _, (movie, _) in dressed] == [movie for _, (movie, _) in stripped]
+    assert all(1 <= ad <= 5000 for _, (_, ad) in dressed)
 
 
 def test_overlay_single_ad_catalog():
-    reqs = [Request(float(i), ItemId(1, None)) for i in range(10)]
+    reqs = [(float(i), (1, -1)) for i in range(10)]
     dressed = _overlay(reqs, ZipfLaw(1, 0.94), 0)
-    assert all(r.item.ad == 1 for r in dressed)
+    assert all(ad == 1 for _, (_, ad) in dressed)
 
 
 def test_overlay_replaces_existing_ads():
-    reqs = [Request(0.0, ItemId(1, 77))] * 2000
+    reqs = [(0.0, (1, 77))] * 2000
     dressed = _overlay(reqs, ZipfLaw(3, 0.0), 12)
-    seen = {r.item.ad for r in dressed}
+    seen = {ad for _, (_, ad) in dressed}
     assert seen == {1, 2, 3}
 
 
 def test_overlay_ad_ranks_follow_zipf():
-    reqs = [Request(float(i), ItemId(1, None)) for i in range(100_000)]
+    reqs = [(float(i), (1, -1)) for i in range(100_000)]
     law = ZipfLaw(5000, 0.94)
-    ranks = np.array([r.item.ad for r in _overlay(reqs, law, 44)])
+    ranks = np.array([ad for _, (_, ad) in _overlay(reqs, law, 44)])
     stat = _rank_chi2(ranks, law, top=50, n=len(ranks))
     assert stat < CHI2_999[50]
 
 
 def test_overlay_is_deterministic():
-    reqs = [Request(float(i), ItemId(i + 1, None)) for i in range(5000)]
+    reqs = [(float(i), (i + 1, -1)) for i in range(5000)]
     law = ZipfLaw(100, 0.91)
     a = _overlay(reqs, law, 3)
     b = _overlay(reqs, law, 3)
