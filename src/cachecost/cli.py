@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration problems, 3 malformed trace files,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .engine import InvariantViolation
@@ -96,9 +97,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path: str) -> bool:
+    """Check that `path` can be written, before any run and without
+    truncating it; returns whether the check created the file."""
+    try:
+        try:
+            open(path, "xb").close()
+            return True
+        except FileExistsError:
+            open(path, "ab").close()
+            return False
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err.strerror}") from None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    created = False
     try:
+        if args.out is not None:
+            created = _check_out(args.out)
         cfg = load_config(args.config)
         columns = CSV_COLUMNS
         if args.command == "analytic":
@@ -125,6 +143,7 @@ def main(argv=None) -> int:
                 emit_csv(rows, args.out, columns)
             except OSError as err:
                 raise ConfigError(f"cannot write {args.out}: {err.strerror}") from None
+            created = False  # written: it stays
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -134,6 +153,10 @@ def main(argv=None) -> int:
     except InvariantViolation as err:
         print(f"invariant violation: {err}", file=sys.stderr)
         return EXIT_INVARIANT
+    finally:
+        # A failed command leaves no output file it created behind.
+        if created:
+            os.remove(args.out)
     return EXIT_OK
 
 

@@ -62,8 +62,7 @@ class CostLedger:
 
     compute_dollars is exactly computes * compute price and
     transmission_dollars exactly requests * transmission price; storage is
-    the sum of billed item-hours times the storage price. span is the time
-    from first to last trace event regardless of warmup.
+    the sum of billed item-hours times the storage price.
     """
 
     requests: int
@@ -72,7 +71,6 @@ class CostLedger:
     compute_dollars: float
     storage_dollars: float
     transmission_dollars: float
-    span: float
 
     @property
     def total_dollars(self) -> float:
@@ -114,15 +112,12 @@ def run(
     item_hours = 0.0
     requests = 0
     hits = 0
-    t_first = None
     prev = -math.inf
 
     for time, item in trace:
         if not time >= prev:  # also catches NaN
             raise InvariantViolation(f"trace time regression: {time} after {prev}")
         prev = time
-        if t_first is None:
-            t_first = time
 
         hit, store_until, evicted = on_request(item, time)
 
@@ -172,9 +167,9 @@ def run(
             if hit:
                 hits += 1
 
-    t_end = prev if t_first is not None else 0.0
+    # Residency still open ends at its deadline or at the last request (prev).
     for start, deadline in residency.values():
-        end = t_end if t_end < deadline else deadline
+        end = prev if prev < deadline else deadline
         if end > warmup:
             item_hours += end - (start if start > warmup else warmup)
 
@@ -186,7 +181,6 @@ def run(
         compute_dollars=computes * costs.compute_per_item,
         storage_dollars=item_hours * costs.storage_per_item_hour,
         transmission_dollars=requests * costs.transmission_per_item,
-        span=(t_end - t_first) if t_first is not None else 0.0,
     )
 
 
@@ -197,7 +191,6 @@ class ItemOrder(NamedTuple):
     order: np.ndarray  # trace index of each sorted request
     times: np.ndarray  # their times
     same: np.ndarray  # same[k]: sorted requests k and k + 1 are one item
-    t_first: float
     t_end: float
 
 
@@ -226,10 +219,7 @@ def by_item(trace: Columns) -> ItemOrder:
     for ids in (trace.movies, trace.ads):
         ids = ids[order]
         same &= ids[1:] == ids[:-1]
-    return ItemOrder(
-        order, times[order], same,
-        float(times[0]) if n else 0.0, float(times[-1]) if n else 0.0,
-    )
+    return ItemOrder(order, times[order], same, float(times[-1]) if n else 0.0)
 
 
 def _after(same: np.ndarray, flags: np.ndarray) -> np.ndarray:
@@ -352,5 +342,4 @@ def run_length_ledger(
         compute_dollars=computes * costs.compute_per_item,
         storage_dollars=item_hours * costs.storage_per_item_hour,
         transmission_dollars=requests * costs.transmission_per_item,
-        span=items.t_end - items.t_first,
     )

@@ -463,7 +463,21 @@ def _file_lines(path: str) -> Iterator[str]:
         try:
             yield from handle
         except UnicodeDecodeError as err:
-            raise TraceFormatError(f"{path} is not UTF-8 text: {err.reason}") from None
+            raise TraceFormatError(
+                f"{path} is not UTF-8 text: {err.reason}", _undecodable_line(path)
+            ) from None
+
+
+def _undecodable_line(path: str) -> int:
+    """The line, counted as text-mode reading counts lines, of the file's
+    first byte that is not UTF-8; text-mode errors do not say where it is."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        head = data[: err.start].decode("utf-8")
+    return head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
 
 
 def _trace_child_seeds(seed: int) -> tuple[int, int, int]:

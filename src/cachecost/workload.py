@@ -5,9 +5,9 @@ Every producer streams it as `Columns` blocks: parallel arrays of times,
 movie ids and ad ids, with an unassigned ad stored as -1. `columns_of`
 joins the blocks for vectorized pricing. One request on its own is a plain
 pair `(time, (movie, ad))`: `requests_of` turns blocks into such pairs for
-the event engine, and `blocks_of` cuts pairs back into blocks of
-`BLOCK_REQUESTS`. Only a caller that joins or lists the blocks holds a
-whole trace.
+the event engine. Only the count-trace synthesizer, which sorts all its
+arrivals at once, and a caller that joins or lists the blocks hold a whole
+trace.
 
 Two text formats are supported, both UTF-8, comma separated, with `#`
 comment lines and `.` as the decimal point:
@@ -23,11 +23,9 @@ the int64 `Columns` form.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
-from operator import itemgetter
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -38,7 +36,6 @@ __all__ = [
     "Columns",
     "CountTraceRecord",
     "TraceFormatError",
-    "blocks_of",
     "columns_of",
     "gen_synthetic",
     "overlay_ads",
@@ -104,13 +101,11 @@ def _synthetic_blocks(
         raise ValueError("block_size must be >= 1")
     rng = np.random.default_rng(seed)
     scale = 1.0 / population.lambda_global
-    movie_cdf = population.movies.cumulative
-    ad_cdf = population.ads.cumulative
     t = 0.0
     while True:
         times = t + np.cumsum(rng.exponential(scale, block_size))
-        movies = np.searchsorted(movie_cdf, rng.random(block_size), side="right") + 1
-        ads = np.searchsorted(ad_cdf, rng.random(block_size), side="right") + 1
+        movies = population.movies.sample(rng, block_size)
+        ads = population.ads.sample(rng, block_size)
         if times[-1] >= duration:
             cut = int(np.searchsorted(times, duration, side="left"))
             yield Columns(times[:cut], movies[:cut], ads[:cut])
@@ -141,15 +136,6 @@ def _block(times: Sequence[float], movies: Sequence[int], ads: Sequence[int]) ->
     )
 
 
-def blocks_of(requests: Iterable[tuple[float, tuple[int, int]]]) -> Iterator[Columns]:
-    """Cut `(time, (movie, ad))` pairs into blocks of `BLOCK_REQUESTS`. The
-    last block may be shorter; no pairs give no blocks."""
-    it = iter(requests)
-    while chunk := list(islice(it, BLOCK_REQUESTS)):
-        times, items = zip(*chunk)
-        yield _block(times, *zip(*items))
-
-
 _NO_REQUESTS = Columns(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
 
@@ -159,8 +145,7 @@ def columns_of(blocks: Iterable[Columns]) -> Columns:
 
 
 def requests_of(blocks: Iterable[Columns]) -> Iterator[tuple[float, tuple[int, int]]]:
-    """The requests of a block stream as `(time, (movie, ad))` pairs, in
-    trace order; the inverse of `blocks_of`."""
+    """The requests of a block stream as `(time, (movie, ad))` pairs, in trace order."""
     return chain.from_iterable(
         zip(times.tolist(), zip(movies.tolist(), ads.tolist())) for times, movies, ads in blocks
     )
@@ -316,20 +301,22 @@ def subsample_records(
     return [rec for rec, keep in zip(records, mask) if keep]
 
 
-def _record_arrivals(
-    record: CountTraceRecord, child_seed: np.random.SeedSequence
-) -> Iterator[tuple[float, tuple[int, int]]]:
+def _record_times(record: CountTraceRecord, child_seed: np.random.SeedSequence) -> np.ndarray:
+    """Arrival times of one record's Poisson process over [upload_time, horizon)."""
     if record.total_views == 0:
-        return
+        return np.empty(0)
     rng = np.random.default_rng(child_seed)
     scale = 1.0 / record.mean_rate
-    item = (record.movie, -1)
+    parts = []
     t = record.upload_time
     while True:
-        t += rng.exponential(scale)
-        if t >= record.horizon:
-            return
-        yield t, item
+        # Summing from t rounds as a running `t += gap` does; t + cumsum does not.
+        times = np.cumsum(np.append(t, rng.exponential(scale, BLOCK_REQUESTS)))[1:]
+        if times[-1] >= record.horizon:
+            parts.append(times[: np.searchsorted(times, record.horizon)])
+            return np.concatenate(parts)
+        parts.append(times)
+        t = times[-1]
 
 
 def synthesize_from_counts(records: Sequence[CountTraceRecord], seed: int) -> Iterator[Columns]:
@@ -337,14 +324,24 @@ def synthesize_from_counts(records: Sequence[CountTraceRecord], seed: int) -> It
     in blocks of `BLOCK_REQUESTS`.
 
     Each record becomes a homogeneous Poisson process at its mean rate over
-    [upload_time, horizon); the per-record streams are merged in time
-    order. Ads are left unassigned (-1). Each record gets its own child
-    seed, so the result is deterministic for a fixed record order and seed.
+    [upload_time, horizon); the per-record streams are merged by a stable
+    sort on time, so equal times keep record order. Ads are left
+    unassigned (-1). Each record gets its own child seed, so the result is
+    deterministic for a fixed record order and seed. The whole trace is
+    drawn and sorted when the first block is asked for.
     """
     seed = _validate_seed(seed)
     children = np.random.SeedSequence(seed).spawn(len(records))
-    streams = [_record_arrivals(rec, child) for rec, child in zip(records, children)]
-    return blocks_of(heapq.merge(*streams, key=itemgetter(0)))
+    per_record = [_record_times(rec, child) for rec, child in zip(records, children)]
+    movies = np.array([rec.movie for rec in records], dtype=np.int64)
+    movies = np.repeat(movies, [times.size for times in per_record])
+    times = np.concatenate([np.empty(0), *per_record])
+    order = np.argsort(times, kind="stable")
+    times, movies = times[order], movies[order]
+    ads = np.full(times.size, -1, dtype=np.int64)
+    for start in range(0, times.size, BLOCK_REQUESTS):
+        end = start + BLOCK_REQUESTS
+        yield Columns(times[start:end], movies[start:end], ads[start:end])
 
 
 def overlay_ads(blocks: Iterable[Columns], ads: ZipfLaw, seed: int) -> Iterator[Columns]:

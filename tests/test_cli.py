@@ -225,24 +225,30 @@ def test_trace_without_requests_exits_with_trace_code(tmp_path, capsys):
     assert capsys.readouterr().err == "trace error: the trace holds no requests\n"
 
 
-def _trace_run(tmp_path, source, data):
+def _trace_run(tmp_path, source, data, out=None):
     trace = tmp_path / "t.csv"
     trace.write_bytes(data)
     cfg = tmp_path / "t.ini"
     text = TRACE_CONFIG.format(policy="kind = global_ttl\nttl = 60.0", path=trace, warmup=0.0)
     text = text.replace("request_trace", source)
     cfg.write_text(text.replace("[run]", "ad_catalog = 5\nad_exponent = 0.9\n\n[run]"))
-    return main(["run", "--config", str(cfg)])
+    return main(["run", "--config", str(cfg)] + (["--out", str(out)] if out else []))
 
 
 @pytest.mark.parametrize(
     "source,data",
-    [("request_trace", b"1.0,5\n2.0,\xff\n"), ("count_trace", b"7,0.0,5,48.0\n\xff\n")],
+    [
+        ("request_trace", b"1.0,5\n2.0,\xff\n"),
+        ("count_trace", b"7,0.0,5,48.0\n\xff\n"),
+        # lines end as text-mode reading ends them: at \r\n, \r or \n
+        ("request_trace", b"1.0,5\r\n2.0,\xff\n"),
+        ("request_trace", b"1.0,5\r2.0,\xff\n"),
+    ],
 )
 def test_trace_that_is_not_utf8_exits_with_trace_code(tmp_path, capsys, source, data):
     assert _trace_run(tmp_path, source, data) == EXIT_TRACE
     err = capsys.readouterr().err
-    assert err.startswith("trace error: ") and "UTF-8" in err
+    assert err.startswith("trace error: line 2: ") and "UTF-8" in err
     assert err.count("\n") == 1
 
 
@@ -251,12 +257,26 @@ def test_count_trace_with_infinite_horizon_exits_with_trace_code(tmp_path, capsy
     assert capsys.readouterr().err == "trace error: line 1: horizon must be finite, got inf\n"
 
 
-def test_out_in_a_missing_directory_is_config_error(config_file, capsys, tmp_path):
+def test_out_in_a_missing_directory_is_config_error(config_file, capsys, tmp_path, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before checking --out")
+
+    monkeypatch.setattr("cachecost.cli.run_experiment", no_run)
     out = tmp_path / "absent" / "out.csv"
     assert main(["run", "--config", config_file, "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot write {out}: ")
     assert err.count("\n") == 1
+
+
+def test_failed_command_leaves_out_as_it_was(tmp_path):
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    new = tmp_path / "new.csv"
+    for out in (kept, new):
+        assert _trace_run(tmp_path, "request_trace", b"1.0,5\n2.0,\xff\n", out) == EXIT_TRACE
+    assert kept.read_text() == "old\n"
+    assert not new.exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

@@ -1,17 +1,22 @@
 """Workload generation and trace parsing: statistics, formats, errors."""
 
+import heapq
 import math
+from operator import itemgetter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cachecost.analytic import PopulationModel, ZipfLaw
 from cachecost.presets import default_population
 from cachecost.workload import (
+    BLOCK_REQUESTS,
+    Columns,
     CountTraceRecord,
     TraceFormatError,
     _synthetic_blocks,
-    blocks_of,
     columns_of,
     gen_synthetic,
     overlay_ads,
@@ -30,6 +35,18 @@ def _chi2(observed, expected):
     observed = np.asarray(observed, dtype=float)
     expected = np.asarray(expected, dtype=float)
     return float(((observed - expected) ** 2 / expected).sum())
+
+
+def _blocks(reqs):
+    """`(time, (movie, ad))` pairs as `Columns` blocks of `BLOCK_REQUESTS`."""
+    return [
+        Columns(
+            np.array([t for t, _ in chunk], dtype=np.float64),
+            np.array([m for _, (m, _) in chunk], dtype=np.int64),
+            np.array([a for _, (_, a) in chunk], dtype=np.int64),
+        )
+        for chunk in (reqs[i : i + BLOCK_REQUESTS] for i in range(0, len(reqs), BLOCK_REQUESTS))
+    ]
 
 
 def _rank_chi2(ranks, law, top, n):
@@ -149,11 +166,11 @@ def test_synthetic_columns_equal_the_request_stream(duration, block_size):
 
 
 def test_collect_columns_stores_an_unset_ad_as_minus_one():
-    cols = columns_of(blocks_of([(0.5, (4, -1)), (2.0, (5, 3))]))
+    cols = columns_of(_blocks([(0.5, (4, -1)), (2.0, (5, 3))]))
     assert cols.times.tolist() == [0.5, 2.0]
     assert cols.movies.tolist() == [4, 5]
     assert cols.ads.tolist() == [-1, 3]
-    empty = columns_of(blocks_of([]))
+    empty = columns_of(_blocks([]))
     assert [c.dtype for c in empty] == [np.float64, np.int64, np.int64]
     assert empty.times.size == 0
 
@@ -323,6 +340,100 @@ def test_synthesis_is_deterministic_and_seed_sensitive():
     assert a != c
 
 
+def _reference_arrivals(record, child_seed):
+    """One record's arrivals drawn one at a time, each gap added to a
+    running time: the sequential form the array draws must reproduce."""
+    if record.total_views == 0:
+        return
+    rng = np.random.default_rng(child_seed)
+    scale = 1.0 / record.mean_rate
+    t = record.upload_time
+    while True:
+        t += rng.exponential(scale)
+        if t >= record.horizon:
+            return
+        yield t, record.movie
+
+
+def _reference_synthesis(records, seed):
+    """Per-record arrival generators merged by time, ties in record order."""
+    children = np.random.SeedSequence(seed).spawn(len(records))
+    streams = [_reference_arrivals(rec, child) for rec, child in zip(records, children)]
+    merged = list(heapq.merge(*streams, key=itemgetter(0)))
+    times = np.array([t for t, _ in merged], dtype=np.float64)
+    movies = np.array([movie for _, movie in merged], dtype=np.int64)
+    return times, movies
+
+
+def _assert_synthesis_equals_the_reference(records, seed):
+    blocks = list(synthesize_from_counts(records, seed))
+    assert all(block.times.size == BLOCK_REQUESTS for block in blocks[:-1])
+    assert all(block.times.size > 0 for block in blocks)
+    cols = columns_of(blocks)
+    assert [c.dtype for c in cols] == [np.float64, np.int64, np.int64]
+    times, movies = _reference_synthesis(records, seed)
+    assert np.array_equal(cols.times, times)
+    assert np.array_equal(cols.movies, movies)
+    assert np.all(cols.ads == -1)
+
+
+@st.composite
+def _count_records(draw):
+    """A few windows and movie ids shared among up to eight records, some
+    with no views, optionally subsampled; and the synthesis seed."""
+    windows = draw(
+        st.lists(st.tuples(st.floats(0.0, 1e6), st.floats(1e-3, 1e3)), min_size=1, max_size=3)
+    )
+    movies = draw(st.lists(st.integers(1, 2**63 - 1), min_size=1, max_size=3))
+    records = draw(
+        st.lists(
+            st.builds(
+                lambda window, movie, views: CountTraceRecord(
+                    movie=movie,
+                    upload_time=window[0],
+                    total_views=views,
+                    horizon=window[0] + window[1],
+                ),
+                st.sampled_from(windows),
+                st.sampled_from(movies),
+                st.integers(0, 300),
+            ),
+            max_size=8,
+        )
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        records = subsample_records(records, 0.5, seed)
+    return records, seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(_count_records())
+def test_synthesis_equals_per_arrival_draws_merged_by_time(case):
+    _assert_synthesis_equals_the_reference(*case)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_synthesis_keeps_record_order_among_equal_times(seed):
+    # near 2**52 the float spacing is 1 h, so many arrivals share a time
+    recs = [
+        CountTraceRecord(movie=m, upload_time=2.0**52, total_views=32, horizon=2.0**52 + 64)
+        for m in (1, 2, 3)
+    ]
+    times, _ = _reference_synthesis(recs, seed)
+    assert (np.diff(times) == 0).sum() > 10
+    _assert_synthesis_equals_the_reference(recs, seed)
+
+
+def test_synthesis_of_a_record_longer_than_one_draw_block():
+    recs = [
+        CountTraceRecord(movie=4, upload_time=3.0, total_views=3 * BLOCK_REQUESTS, horizon=50.0),
+        CountTraceRecord(movie=9, upload_time=0.0, total_views=100, horizon=20.0),
+    ]
+    assert len(_reference_synthesis(recs, 8)[0]) > 2 * BLOCK_REQUESTS
+    _assert_synthesis_equals_the_reference(recs, 8)
+
+
 def test_subsample_keeps_expected_fraction():
     recs = [
         CountTraceRecord(movie=m, upload_time=0.0, total_views=5, horizon=10.0)
@@ -346,7 +457,7 @@ def test_subsample_rejects_bad_fraction():
 
 
 def _overlay(reqs, law, seed):
-    return list(requests_of(overlay_ads(blocks_of(reqs), law, seed)))
+    return list(requests_of(overlay_ads(_blocks(reqs), law, seed)))
 
 
 def test_overlay_preserves_length_times_and_movies():
