@@ -35,6 +35,16 @@ __all__ = [
 ]
 
 
+def _check_int(name: str, value: int, low: int) -> int:
+    """`value` as a plain int: an integer (not a bool) of at least `low`."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -90,10 +100,7 @@ def harmonic(n: int, s: float) -> float:
     Terms are accumulated from the smallest (i = n) toward the largest so
     the tail of a decaying series is not swallowed by rounding.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _check_int("n", n, 1)
     s = _require_finite("s", s)
     if s < 0.0:
         raise ValueError(f"s must be >= 0, got {s}")
@@ -116,14 +123,11 @@ class ZipfLaw:
     s: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
-            raise ValueError(f"catalog size must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise ValueError(f"catalog size must be >= 1, got {self.n}")
+        n = _check_int("catalog size", self.n, 1)
         s = _require_finite("exponent", self.s)
         if s < 0.0:
             raise ValueError(f"exponent must be >= 0, got {s}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "s", s)
 
     @cached_property
@@ -177,12 +181,10 @@ class PopulationModel:
             raise ValueError(f"lambda_global must be positive, got {lam}")
         object.__setattr__(self, "lambda_global", lam)
 
-    def joint_pmf(self, movie: int, ad: int) -> float:
-        return self.movies.pmf(movie) * self.ads.pmf(ad)
-
-    def item_rate(self, movie: int, ad: int) -> float:
-        """Poisson request rate (1/h) of one (movie, ad) pair."""
-        return self.lambda_global * self.joint_pmf(movie, ad)
+    def rates(self, movies: np.ndarray, ads: np.ndarray) -> np.ndarray:
+        """Poisson request rates (1/h) of the (movie, ad) rank pairs."""
+        p = self.movies.probabilities[movies - 1] * self.ads.probabilities[ads - 1]
+        return self.lambda_global * p
 
 
 @dataclass(frozen=True)
@@ -193,16 +195,8 @@ class MonteCarloSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.samples, (int, np.integer)) or isinstance(self.samples, bool):
-            raise ValueError(f"samples must be an integer, got {self.samples!r}")
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        object.__setattr__(self, "samples", int(self.samples))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "samples", _check_int("samples", self.samples, 1))
+        object.__setattr__(self, "seed", _check_int("seed", self.seed, 0))
 
 
 def _validate_rate(rate: float) -> float:
@@ -227,17 +221,7 @@ def expected_item_cost(rate: float, ttl: float, costs: CostModel) -> float:
     ttl may be math.inf (keep forever); ttl = 0 means never store, which
     costs exactly one recompute per request.
     """
-    rate = _validate_rate(rate)
-    ttl = _validate_ttl(ttl)
-    s, c = costs.storage_per_item_hour, costs.compute_per_item
-    if ttl == 0.0:
-        return c
-    if math.isinf(ttl):
-        return s / rate
-    # (s/rate) * (1 - e^{-rate*ttl}) + c * e^{-rate*ttl}; expm1 keeps the
-    # first term accurate when rate*ttl underflows toward 0.
-    decay = math.exp(-rate * ttl)
-    return (s / rate) * -math.expm1(-rate * ttl) + c * decay
+    return float(_expected_cost_array(_validate_rate(rate), _validate_ttl(ttl), costs))
 
 
 def _expected_cost_array(rates: np.ndarray, ttl: float, costs: CostModel) -> np.ndarray:
@@ -246,6 +230,8 @@ def _expected_cost_array(rates: np.ndarray, ttl: float, costs: CostModel) -> np.
         return np.full_like(rates, c)
     if math.isinf(ttl):
         return s / rates
+    # (s/rate) * (1 - e^{-rate*ttl}) + c * e^{-rate*ttl}; expm1 keeps the
+    # first term accurate when rate*ttl underflows toward 0.
     x = rates * ttl
     return (s / rates) * -np.expm1(-x) + c * np.exp(-x)
 
@@ -280,11 +266,7 @@ def sample_item_rates(population: PopulationModel, mc: MonteCarloSpec) -> np.nda
     rng = np.random.default_rng(mc.seed)
     movies = population.movies.sample(rng, mc.samples)
     ads = population.ads.sample(rng, mc.samples)
-    p = (
-        population.movies.probabilities[movies - 1]
-        * population.ads.probabilities[ads - 1]
-    )
-    return population.lambda_global * p
+    return population.rates(movies, ads)
 
 
 def global_ttl_cost(

@@ -72,6 +72,19 @@ class CostLedger:
     storage_dollars: float
     transmission_dollars: float
 
+    @classmethod
+    def priced(cls, requests: int, hits: int, item_hours: float, costs: CostModel) -> "CostLedger":
+        """The ledger of these counts and billed item-hours at `costs`."""
+        computes = requests - hits
+        return cls(
+            requests=requests,
+            hits=hits,
+            computes=computes,
+            compute_dollars=computes * costs.compute_per_item,
+            storage_dollars=item_hours * costs.storage_per_item_hour,
+            transmission_dollars=requests * costs.transmission_per_item,
+        )
+
     @property
     def total_dollars(self) -> float:
         return self.compute_dollars + self.storage_dollars + self.transmission_dollars
@@ -173,15 +186,7 @@ def run(
         if end > warmup:
             item_hours += end - (start if start > warmup else warmup)
 
-    computes = requests - hits
-    return CostLedger(
-        requests=requests,
-        hits=hits,
-        computes=computes,
-        compute_dollars=computes * costs.compute_per_item,
-        storage_dollars=item_hours * costs.storage_per_item_hour,
-        transmission_dollars=requests * costs.transmission_per_item,
-    )
+    return CostLedger.priced(requests, hits, item_hours, costs)
 
 
 class ItemOrder(NamedTuple):
@@ -334,12 +339,4 @@ def run_length_ledger(
             # cumsum adds in sequence, as the engine does; np.sum (pairwise)
             # and math.fsum would round differently.
             item_hours = float(np.cumsum(hours)[-1])
-    computes = requests - hits
-    return CostLedger(
-        requests=requests,
-        hits=hits,
-        computes=computes,
-        compute_dollars=computes * costs.compute_per_item,
-        storage_dollars=item_hours * costs.storage_per_item_hour,
-        transmission_dollars=requests * costs.transmission_per_item,
-    )
+    return CostLedger.priced(requests, hits, item_hours, costs)

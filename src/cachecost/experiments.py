@@ -403,25 +403,35 @@ def _values(cfg: ExperimentConfig) -> "dict[str, dict]":
     return given
 
 
-def parse_config(text: str, *, base_dir: "str | Path | None" = None) -> ExperimentConfig:
-    """Parse and validate a config. Relative paths resolve against base_dir."""
+def _sections(text: str, source: str) -> "dict[str, dict]":
+    """`{section: {key: text}}` of a config; a syntax error is one line
+    naming `source`."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(text)
+        parser.read_string(text, source)
     except configparser.Error as err:
-        raise ConfigError(f"unparseable config: {err}") from None
-    given = {section: dict(parser.items(section, raw=True)) for section in parser.sections()}
-    return _build(given, base_dir)
+        raise ConfigError(f"unparseable config: {' '.join(str(err).split())}") from None
+    return {section: dict(parser.items(section, raw=True)) for section in parser.sections()}
+
+
+def parse_config(text: str, *, base_dir: "str | Path | None" = None) -> ExperimentConfig:
+    """Parse and validate a config. Relative paths resolve against base_dir."""
+    return _build(_sections(text, "<string>"), base_dir)
 
 
 def load_config(path: "str | Path") -> ExperimentConfig:
-    """Read a config file; relative workload paths resolve beside it."""
+    """Read a UTF-8 config file, with or without a byte-order mark;
+    relative workload paths resolve beside it."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
-    return parse_config(text, base_dir=path.parent)
+    except UnicodeDecodeError as err:
+        raise ConfigError(
+            f"line {_undecodable_line(path)}: {path} is not UTF-8 text: {err.reason}"
+        ) from None
+    return _build(_sections(text, str(path)), path.parent)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -459,7 +469,7 @@ def _grid(section: str, key: str, grid: Sequence) -> list:
 
 
 def _file_lines(path: str) -> Iterator[str]:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             yield from handle
         except UnicodeDecodeError as err:
@@ -524,12 +534,7 @@ def _verdicts(cfg: ExperimentConfig, trace: Columns, items: ItemOrder) -> Verdic
     if kind == "lower_bound":
         return lower_bound_verdicts(items, cfg.costs)
     if kind == "known_rate":
-        pm = cfg.population_model()
-        rates = (
-            pm.lambda_global
-            * pm.movies.probabilities[trace.movies - 1]
-            * pm.ads.probabilities[trace.ads - 1]
-        )
+        rates = cfg.population_model().rates(trace.movies, trace.ads)
         return known_rate_verdicts(items, rates, cfg.costs)
     raise ConfigError(f"unknown policy kind {kind!r}")
 
@@ -769,6 +774,9 @@ def emit_csv(
 # --- analytic and validation reports ---------------------------------------
 
 
+ANALYTIC_COLUMNS = ("evaluator", "param_name", "param_value", "ttl", "cost_per_request")
+
+
 def analytic_table(
     cfg: ExperimentConfig,
     *,
@@ -789,64 +797,26 @@ def analytic_table(
     pm = cfg.population_model()
     mc = cfg.monte_carlo()
     rows: list[dict] = []
-    base_ttls = ttl_grid if ttl_grid is not None else [30.0 * k for k in range(21)]
+
+    def row(evaluator, name, value, ttl, cost) -> None:
+        rows.append(dict(zip(ANALYTIC_COLUMNS, (evaluator, name, value, ttl, cost))))
+
     if ttl_grid is not None:
         for ttl in ttl_grid:
-            cost = global_ttl_cost(pm, ttl, cfg.costs, mc)
-            rows.append(
-                {
-                    "evaluator": "global_ttl",
-                    "param_name": "ttl",
-                    "param_value": ttl,
-                    "ttl": ttl,
-                    "cost_per_request": cost,
-                }
-            )
+            row("global_ttl", "ttl", ttl, ttl, global_ttl_cost(pm, ttl, cfg.costs, mc))
         best_ttl, best_cost = optimal_global_ttl(pm, cfg.costs, mc, ttl_grid)
-        rows.append(
-            {
-                "evaluator": "optimal_global_ttl",
-                "param_name": "ttl",
-                "param_value": best_ttl,
-                "ttl": best_ttl,
-                "cost_per_request": best_cost,
-            }
-        )
-    rows.append(
-        {
-            "evaluator": "individual_ttl",
-            "param_name": "",
-            "param_value": "",
-            "ttl": "",
-            "cost_per_request": individual_ttl_cost(pm, cfg.costs, mc),
-        }
-    )
-    rows.append(
-        {
-            "evaluator": "lower_bound",
-            "param_name": "",
-            "param_value": "",
-            "ttl": "",
-            "cost_per_request": lower_bound_cost(pm, cfg.costs, mc),
-        }
-    )
+        row("optimal_global_ttl", "ttl", best_ttl, best_ttl, best_cost)
+    row("individual_ttl", "", "", "", individual_ttl_cost(pm, cfg.costs, mc))
+    row("lower_bound", "", "", "", lower_bound_cost(pm, cfg.costs, mc))
     if lambda_grid is not None:
+        base_ttls = ttl_grid if ttl_grid is not None else [30.0 * k for k in range(21)]
         for lam in lambda_grid:
             pm_l = PopulationModel(movies=pm.movies, ads=pm.ads, lambda_global=lam)
             best_ttl, best_cost = optimal_global_ttl(pm_l, cfg.costs, mc, base_ttls)
-            rows.append(
-                {
-                    "evaluator": "optimal_global_ttl",
-                    "param_name": "lambda",
-                    "param_value": lam,
-                    "ttl": best_ttl,
-                    "cost_per_request": best_cost,
-                }
-            )
+            row("optimal_global_ttl", "lambda", lam, best_ttl, best_cost)
     return rows
 
 
-ANALYTIC_COLUMNS = ("evaluator", "param_name", "param_value", "ttl", "cost_per_request")
 VALIDATION_COLUMNS = (
     "policy",
     "param_name",

@@ -17,7 +17,7 @@ import math
 from collections import OrderedDict
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
-from .analytic import CostModel, _validate_ttl, keeps
+from .analytic import CostModel, _check_int, _validate_ttl, keeps
 
 __all__ = [
     "GlobalTtlPolicy",
@@ -232,11 +232,7 @@ class LruPolicy:
     """
 
     def __init__(self, capacity: int):
-        if not isinstance(capacity, int) or isinstance(capacity, bool):
-            raise ValueError(f"capacity must be an integer, got {capacity!r}")
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
+        self.capacity = _check_int("capacity", capacity, 1)
         self._recency: "OrderedDict[Hashable, None]" = OrderedDict()
         self._clock = -math.inf
 

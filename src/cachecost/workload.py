@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .analytic import PopulationModel, ZipfLaw
+from .analytic import PopulationModel, ZipfLaw, _check_int
 
 __all__ = [
     "Columns",
@@ -77,14 +77,6 @@ class TraceFormatError(ValueError):
         super().__init__(message)
 
 
-def _validate_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return int(seed)
-
-
 def _synthetic_blocks(
     population: PopulationModel, duration: float, seed: int, block_size: int = _SYNTHETIC_BLOCK
 ) -> Iterator[Columns]:
@@ -96,7 +88,7 @@ def _synthetic_blocks(
     duration = float(duration)
     if not (math.isfinite(duration) and duration > 0.0):
         raise ValueError(f"duration must be positive and finite, got {duration!r}")
-    seed = _validate_seed(seed)
+    seed = _check_int("seed", seed, 0)
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
     rng = np.random.default_rng(seed)
@@ -296,7 +288,7 @@ def subsample_records(
     fraction = float(fraction)
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    rng = np.random.default_rng(_validate_seed(seed))
+    rng = np.random.default_rng(_check_int("seed", seed, 0))
     mask = rng.random(len(records)) < fraction
     return [rec for rec, keep in zip(records, mask) if keep]
 
@@ -330,7 +322,7 @@ def synthesize_from_counts(records: Sequence[CountTraceRecord], seed: int) -> It
     deterministic for a fixed record order and seed. The whole trace is
     drawn and sorted when the first block is asked for.
     """
-    seed = _validate_seed(seed)
+    seed = _check_int("seed", seed, 0)
     children = np.random.SeedSequence(seed).spawn(len(records))
     per_record = [_record_times(rec, child) for rec, child in zip(records, children)]
     movies = np.array([rec.movie for rec in records], dtype=np.int64)
@@ -352,6 +344,6 @@ def overlay_ads(blocks: Iterable[Columns], ads: ZipfLaw, seed: int) -> Iterator[
     order; times and movie ids pass through untouched. Streaming and
     deterministic per (trace length, ads, seed).
     """
-    rng = np.random.default_rng(_validate_seed(seed))
+    rng = np.random.default_rng(_check_int("seed", seed, 0))
     for block in blocks:
         yield block._replace(ads=ads.sample(rng, block.times.size))

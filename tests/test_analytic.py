@@ -21,7 +21,9 @@ from cachecost.analytic import (
     optimal_global_ttl,
     sample_item_rates,
 )
+from cachecost.policies import LruPolicy
 from cachecost.presets import default_cost_model, default_population
+from cachecost.workload import CountTraceRecord, subsample_records
 
 COSTS = default_cost_model()
 S = COSTS.storage_per_item_hour
@@ -171,9 +173,11 @@ def test_zipf_sampling_prefers_low_ranks():
 
 def test_population_joint_pmf_factorizes():
     pm = default_population(100.0)
-    assert pm.joint_pmf(3, 17) == pytest.approx(
-        pm.movies.pmf(3) * pm.ads.pmf(17), rel=1e-15
+    assert pm.rates(3, 17) == pytest.approx(
+        100.0 * pm.movies.pmf(3) * pm.ads.pmf(17), rel=1e-15
     )
+    rates = pm.rates(np.array([3, 1]), np.array([17, 5]))
+    assert rates.tolist() == [pm.rates(3, 17), pm.rates(1, 5)]
 
 
 def test_population_joint_pmf_sums_to_one():
@@ -208,6 +212,45 @@ def test_monte_carlo_spec_validation():
         MonteCarloSpec(samples=10, seed=-1)
     with pytest.raises(ValueError):
         MonteCarloSpec(samples=True, seed=1)
+
+
+_RECORDS = [
+    CountTraceRecord(movie=m, upload_time=0.0, total_views=5, horizon=48.0) for m in range(1, 21)
+]
+
+# Every integer argument passes one rule: (checked name, lowest value,
+# the call, the int it keeps or None when it keeps none).
+INTEGER_CALLERS = {
+    "harmonic": ("n", 1, lambda v: harmonic(v, 0.0), None),
+    "ZipfLaw": ("catalog size", 1, lambda v: ZipfLaw(v, 0.5), lambda law: law.n),
+    "MonteCarloSpec.samples": ("samples", 1, lambda v: MonteCarloSpec(v, 0), lambda mc: mc.samples),
+    "MonteCarloSpec.seed": ("seed", 0, lambda v: MonteCarloSpec(1, v), lambda mc: mc.seed),
+    "LruPolicy": ("capacity", 1, LruPolicy, lambda policy: policy.capacity),
+    "subsample_records": ("seed", 0, lambda v: subsample_records(_RECORDS, 0.5, v), None),
+}
+
+
+@pytest.mark.parametrize("caller", INTEGER_CALLERS)
+@pytest.mark.parametrize("bad", [True, 2.0, "3", "low - 1"])
+def test_integer_rule_rejects_with_the_exact_message(caller, bad):
+    name, low, call, _ = INTEGER_CALLERS[caller]
+    if bad == "low - 1":
+        bad, message = low - 1, f"{name} must be >= {low}, got {low - 1}"
+    else:
+        message = f"{name} must be an integer, got {bad!r}"
+    with pytest.raises(ValueError) as err:
+        call(bad)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("caller", INTEGER_CALLERS)
+def test_integer_rule_accepts_numpy_integers_as_plain_ints(caller):
+    _, low, call, kept = INTEGER_CALLERS[caller]
+    out = call(np.int64(low))
+    if kept is None:
+        assert out == call(low)
+    else:
+        assert kept(out) == low and type(kept(out)) is int
 
 
 # --- per-item expected cost -------------------------------------------------

@@ -151,6 +151,39 @@ def test_invalid_config_content_is_config_error(tmp_path, capsys):
     assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
 
 
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(b"# caf\xe9\n" + CONFIG.encode())
+    assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: line 1: {bad} is not UTF-8 text: invalid continuation byte\n"
+    )
+
+
+def test_config_with_a_byte_order_mark_reads_as_without(tmp_path):
+    plain, bom = tmp_path / "plain.ini", tmp_path / "bom.ini"
+    plain.write_text(CONFIG)
+    bom.write_bytes(b"\xef\xbb\xbf" + CONFIG.encode())
+    for path in (plain, bom):
+        out = path.with_suffix(".csv")
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    assert bom.with_suffix(".csv").read_bytes() == plain.with_suffix(".csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[costs]\ngarbage line\n", "x = 1\n", "[costs]\nx = 1\nx = 2\n"],
+    ids=["garbage-line", "no-section-header", "duplicate-option"],
+)
+def test_config_syntax_error_is_one_line_naming_the_file(tmp_path, capsys, text):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(bad) in err
+    assert err.count("\n") == 1
+
+
 def test_malformed_trace_exits_with_trace_code(tmp_path, capsys):
     trace = tmp_path / "t.csv"
     trace.write_text("0.0,1,1\nbroken line\n")
@@ -250,6 +283,16 @@ def test_trace_that_is_not_utf8_exits_with_trace_code(tmp_path, capsys, source, 
     err = capsys.readouterr().err
     assert err.startswith("trace error: line 2: ") and "UTF-8" in err
     assert err.count("\n") == 1
+
+
+def test_request_trace_with_a_byte_order_mark_reads_as_without(tmp_path):
+    data = b"1.0,5\n2.0,5\n30.0,2\n90.0,5\n"
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    bom = b"\xef\xbb\xbf" + data
+    assert _trace_run(plain, "request_trace", data, plain / "out.csv") == EXIT_OK
+    assert _trace_run(tmp_path, "request_trace", bom, tmp_path / "out.csv") == EXIT_OK
+    assert (tmp_path / "out.csv").read_bytes() == (plain / "out.csv").read_bytes()
 
 
 def test_count_trace_with_infinite_horizon_exits_with_trace_code(tmp_path, capsys):

@@ -547,11 +547,9 @@ def test_run_rows_equal_the_engine_with_the_policy_class(policy):
     cfg = _cfg(SMALL_SYNTH.replace("kind = global_ttl\nttl = 60.0", policy)
                .replace("warmup = 0.0", "warmup = 5.0"))
     pm = cfg.population_model()
-    movie_p, ad_p = pm.movies.probabilities, pm.ads.probabilities
 
     def rate_of(item):
-        movie, ad = item
-        return pm.lambda_global * movie_p[movie - 1] * ad_p[ad - 1]
+        return pm.rates(*item)
 
     for seed in cfg.seeds:
         requests = _requests(cfg, seed)

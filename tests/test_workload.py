@@ -106,7 +106,7 @@ def test_synthetic_item_rates_thin_correctly():
         counts[item] = counts.get(item, 0) + 1
     for movie in (1, 2, 3, 4, 5):
         for ad in (1, 2):
-            expected = pm.item_rate(movie, ad) * duration
+            expected = pm.rates(movie, ad) * duration
             got = counts.get((movie, ad), 0)
             assert abs(got - expected) < 3 * math.sqrt(expected) + 1
     total = sum(counts.values())
