@@ -45,11 +45,23 @@ def _check_int(name: str, value: int, low: int) -> int:
     return value
 
 
-def _require_finite(name: str, value: float) -> float:
+def _check_real(
+    name: str, value: float, low: float, *, above: bool = False, high: "float | None" = None
+) -> float:
+    """`value` as a float: not NaN, at least `low` (above it when `above`),
+    and finite, or at most `high` when given; `high = math.inf` admits +inf."""
     value = float(value)
-    if not math.isfinite(value):
+    if not (value > low if above else value >= low):  # also catches NaN
+        raise ValueError(f"{name} must be {'>' if above else '>='} {low}, got {value!r}")
+    if high is None and value == math.inf:
         raise ValueError(f"{name} must be finite, got {value!r}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value!r}")
     return value
+
+
+def _validate_ttl(ttl: float) -> float:
+    return _check_real("ttl", ttl, 0, high=math.inf)
 
 
 @dataclass(frozen=True)
@@ -67,16 +79,12 @@ class CostModel:
     transmission_per_item: float
 
     def __post_init__(self) -> None:
-        s = _require_finite("storage_per_item_hour", self.storage_per_item_hour)
-        c = _require_finite("compute_per_item", self.compute_per_item)
-        x = _require_finite("transmission_per_item", self.transmission_per_item)
-        if s <= 0.0 or c <= 0.0:
-            raise ValueError("storage and compute prices must be positive")
-        if x < 0.0:
-            raise ValueError("transmission price must be >= 0")
-        object.__setattr__(self, "storage_per_item_hour", s)
-        object.__setattr__(self, "compute_per_item", c)
-        object.__setattr__(self, "transmission_per_item", x)
+        for name, above in (
+            ("storage_per_item_hour", True),
+            ("compute_per_item", True),
+            ("transmission_per_item", False),
+        ):
+            object.__setattr__(self, name, _check_real(name, getattr(self, name), 0, above=above))
 
     def break_even_rate(self) -> float:
         """The request rate (1/h) at which storing and recomputing cost the same."""
@@ -101,14 +109,9 @@ def harmonic(n: int, s: float) -> float:
     the tail of a decaying series is not swallowed by rounding.
     """
     n = _check_int("n", n, 1)
-    s = _require_finite("s", s)
-    if s < 0.0:
-        raise ValueError(f"s must be >= 0, got {s}")
-    terms = np.arange(n, 0, -1, dtype=np.float64) ** -s
-    total = 0.0
-    for term in terms.tolist():
-        total += term
-    return total
+    s = _check_real("s", s, 0)
+    # cumsum adds in sequence; np.sum (pairwise) would round differently.
+    return float(np.cumsum(np.arange(n, 0, -1, dtype=np.float64) ** -s)[-1])
 
 
 @dataclass(frozen=True)
@@ -124,9 +127,7 @@ class ZipfLaw:
 
     def __post_init__(self) -> None:
         n = _check_int("catalog size", self.n, 1)
-        s = _require_finite("exponent", self.s)
-        if s < 0.0:
-            raise ValueError(f"exponent must be >= 0, got {s}")
+        s = _check_real("exponent", self.s, 0)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "s", s)
 
@@ -151,11 +152,6 @@ class ZipfLaw:
         cdf.setflags(write=False)
         return cdf
 
-    def pmf(self, rank: int) -> float:
-        if rank < 1 or rank > self.n:
-            raise ValueError(f"rank must be in 1..{self.n}, got {rank}")
-        return float(self.probabilities[rank - 1])
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ranks by inverse cdf; int64 array of shape (size,)."""
         u = rng.random(size)
@@ -176,9 +172,7 @@ class PopulationModel:
     lambda_global: float
 
     def __post_init__(self) -> None:
-        lam = _require_finite("lambda_global", self.lambda_global)
-        if lam <= 0.0:
-            raise ValueError(f"lambda_global must be positive, got {lam}")
+        lam = _check_real("lambda_global", self.lambda_global, 0, above=True)
         object.__setattr__(self, "lambda_global", lam)
 
     def rates(self, movies: np.ndarray, ads: np.ndarray) -> np.ndarray:
@@ -199,20 +193,6 @@ class MonteCarloSpec:
         object.__setattr__(self, "seed", _check_int("seed", self.seed, 0))
 
 
-def _validate_rate(rate: float) -> float:
-    rate = _require_finite("rate", rate)
-    if rate <= 0.0:
-        raise ValueError(f"rate must be positive, got {rate}")
-    return rate
-
-
-def _validate_ttl(ttl: float) -> float:
-    ttl = float(ttl)
-    if math.isnan(ttl) or ttl < 0.0:
-        raise ValueError(f"ttl must be >= 0, got {ttl!r}")
-    return ttl
-
-
 def expected_item_cost(rate: float, ttl: float, costs: CostModel) -> float:
     """Expected storage-plus-compute cost per request of one item.
 
@@ -221,7 +201,8 @@ def expected_item_cost(rate: float, ttl: float, costs: CostModel) -> float:
     ttl may be math.inf (keep forever); ttl = 0 means never store, which
     costs exactly one recompute per request.
     """
-    return float(_expected_cost_array(_validate_rate(rate), _validate_ttl(ttl), costs))
+    rate = _check_real("rate", rate, 0, above=True)
+    return float(_expected_cost_array(rate, _validate_ttl(ttl), costs))
 
 
 def _expected_cost_array(rates: np.ndarray, ttl: float, costs: CostModel) -> np.ndarray:
@@ -248,10 +229,7 @@ def keep_decision(rate: float, costs: CostModel) -> KeepDecision:
     At exactly the break-even rate both choices cost the same; the tie
     goes to NEVER_CACHE.
     """
-    rate = _require_finite("rate", rate)
-    if rate < 0.0:
-        raise ValueError(f"rate must be >= 0, got {rate}")
-    if keeps(rate, costs):
+    if keeps(_check_real("rate", rate, 0), costs):
         return KeepDecision.CACHE_FOREVER
     return KeepDecision.NEVER_CACHE
 

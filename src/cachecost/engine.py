@@ -27,7 +27,7 @@ from typing import Hashable, Iterable, NamedTuple, Protocol
 
 import numpy as np
 
-from .analytic import CostModel, _validate_ttl, keeps
+from .analytic import CostModel, _check_real, _validate_ttl, keeps
 from .policies import PolicyVerdict, count_threshold
 from .workload import Columns
 
@@ -98,10 +98,7 @@ def cost_per_request(ledger: CostLedger) -> float:
 
 
 def _check_warmup(warmup: float) -> float:
-    warmup = float(warmup)
-    if not (math.isfinite(warmup) and warmup >= 0.0):
-        raise ValueError(f"warmup must be finite and >= 0, got {warmup!r}")
-    return warmup
+    return _check_real("warmup", warmup, 0)
 
 
 def run(

@@ -20,7 +20,7 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -50,11 +50,12 @@ from .engine import (
     run,
     run_length_ledger,
 )
-from .policies import LruPolicy, count_threshold
+from .policies import LruPolicy, _check_window, count_threshold
 from .presets import DEFAULT_MC_SAMPLES, DEFAULT_SEEDS
 from .workload import (
     Columns,
     TraceFormatError,
+    _check_duration,
     _synthetic_blocks,
     columns_of,
     overlay_ads,
@@ -163,9 +164,12 @@ class ExperimentConfig:
 #
 # Every `[section] key` is one row of `_KEYS`. parse_config walks the rows to
 # check a config, serialize_config walks them back to text, and sweeps and
-# the CLI's --seed set a key through the same rows, so each range rule is
-# written once. CostModel, ZipfLaw and MonteCarloSpec keep their own ranges;
-# the rows build them and report their ValueError as a ConfigError.
+# the CLI's --seed set a key through the same rows. A row gives a key its
+# type and scope but no bound: its rule is the check of the module that owns
+# the quantity, called directly (`_validate_ttl`, `_check_window`) or by
+# building the object that checks it (`ZipfLaw`, `LruPolicy`). The [costs]
+# keys are checked together by CostModel. Each ValueError is reported as a
+# ConfigError naming the key.
 
 _REQUIRED = object()
 
@@ -198,23 +202,6 @@ def _seeds(value) -> tuple[int, ...]:
     return tuple(_int(part) for part in parts)
 
 
-def _positive(value) -> None:
-    if not 0 < value < math.inf:
-        raise ValueError(f"must be positive and finite, got {value!r}")
-
-
-def _fraction(value) -> None:
-    if not 0.0 < value <= 1.0:
-        raise ValueError(f"must be in (0, 1], got {value!r}")
-
-
-def _seed_list(seeds) -> None:
-    if not seeds:
-        raise ValueError("must list at least one seed")
-    if any(seed < 0 for seed in seeds):
-        raise ValueError(f"seeds must be >= 0, got {seeds}")
-
-
 def _one_of(choices):
     def rule(value) -> None:
         if value not in choices:
@@ -229,6 +216,25 @@ def _catalog(n) -> None:
 
 def _exponent(s) -> None:
     ZipfLaw(1, s)
+
+
+def _lambda(lam) -> None:
+    PopulationModel(ZipfLaw(1, 0.0), ZipfLaw(1, 0.0), lam)
+
+
+def _seed(seed) -> None:
+    MonteCarloSpec(1, seed)
+
+
+def _seed_list(seeds) -> None:
+    if not seeds:
+        raise ValueError("must list at least one seed")
+    for seed in seeds:
+        _seed(seed)
+
+
+def _subsample(fraction) -> None:
+    subsample_records((), fraction, 0)
 
 
 class _Key(NamedTuple):
@@ -253,25 +259,25 @@ _KEYS = (
     _Key("population", "movie_exponent", _float, _exponent),
     _Key("population", "ads", _int, _catalog),
     _Key("population", "ad_exponent", _float, _exponent),
-    _Key("population", "lambda", _float, _positive, field="lambda_global"),
+    _Key("population", "lambda", _float, _lambda, field="lambda_global"),
     _Key("costs", "storage_per_item_hour", _float),
     _Key("costs", "compute_per_item", _float),
     _Key("costs", "transmission_per_item", _float),
     _Key("policy", "kind", _text, _one_of(POLICY_KINDS)),
     _Key("policy", "ttl", _float, _validate_ttl, ("global_ttl",)),
-    _Key("policy", "window", _float, _positive, ("individual_ttl",)),
-    _Key("policy", "capacity", _int, _positive, ("lru",)),
+    _Key("policy", "window", _float, _check_window, ("individual_ttl",)),
+    _Key("policy", "capacity", _int, LruPolicy, ("lru",)),
     _Key("workload", "source", _text, _one_of(WORKLOAD_SOURCES)),
-    _Key("workload", "duration", _float, _positive, _SYNTHETIC),
+    _Key("workload", "duration", _float, _check_duration, _SYNTHETIC),
     _Key("workload", "path", _text, None, _TRACES),
     _Key("workload", "ad_catalog", _int, _catalog, _TRACES, None),
     _Key("workload", "ad_exponent", _float, _exponent, _TRACES, None),
-    _Key("workload", "subsample", _float, _fraction, ("count_trace",), None),
+    _Key("workload", "subsample", _float, _subsample, ("count_trace",), None),
     _Key("run", "seeds", _seeds, _seed_list, default=DEFAULT_SEEDS),
     _Key("run", "warmup", _float, _check_warmup, default=0.0),
     _Key("monte_carlo", "samples", _int, lambda n: MonteCarloSpec(n, 0),
          default=DEFAULT_MC_SAMPLES, field="mc_samples"),
-    _Key("monte_carlo", "seed", _int, lambda s: MonteCarloSpec(1, s), default=0, field="mc_seed"),
+    _Key("monte_carlo", "seed", _int, _seed, default=0, field="mc_seed"),
 )
 _KEYS = tuple(row._replace(field=row.field or row.key) for row in _KEYS)
 _ROWS = {(row.section, row.key): row for row in _KEYS}
@@ -405,13 +411,21 @@ def _values(cfg: ExperimentConfig) -> "dict[str, dict]":
 
 def _sections(text: str, source: str) -> "dict[str, dict]":
     """`{section: {key: text}}` of a config; a syntax error is one line
-    naming `source`."""
+    naming `source` and the line."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text, source)
-    except configparser.Error as err:
-        raise ConfigError(f"unparseable config: {' '.join(str(err).split())}") from None
-    return {section: dict(parser.items(section, raw=True)) for section in parser.sections()}
+    except configparser.MissingSectionHeaderError as err:
+        line, what = err.lineno, "a line before the first [section] header"
+    except configparser.ParsingError as err:
+        line, what = err.errors[0][0], "a line that is not [section] or key = value"
+    except configparser.DuplicateSectionError as err:
+        line, what = err.lineno, f"section [{err.section}] given twice"
+    except configparser.DuplicateOptionError as err:
+        line, what = err.lineno, f"key {err.option!r} given twice in [{err.section}]"
+    else:
+        return {section: dict(parser.items(section, raw=True)) for section in parser.sections()}
+    raise ConfigError(f"line {line}: {source} is not INI syntax: {what}")
 
 
 def parse_config(text: str, *, base_dir: "str | Path | None" = None) -> ExperimentConfig:
@@ -679,6 +693,19 @@ def _execute(tasks: "list[tuple[ExperimentConfig, int, tuple]]", jobs: int) -> l
         return [f.result() for f in futures]
 
 
+def _run_points(points: "list[tuple[ExperimentConfig, tuple]]", jobs: int) -> list[ResultRow]:
+    """Run each (config, param) point once per seed of its config, all on
+    one pool; per point, its per-seed rows then its mean row."""
+    tasks = [(cfg, seed, param) for cfg, param in points for seed in cfg.seeds]
+    done = iter(_execute(tasks, jobs))
+    rows: list[ResultRow] = []
+    for cfg, _ in points:
+        point_rows = list(islice(done, len(cfg.seeds)))
+        rows += point_rows
+        rows.append(_summary_row(point_rows))
+    return rows
+
+
 def run_experiment(cfg: ExperimentConfig, *, jobs: int = 1) -> list[ResultRow]:
     """Run the config once per seed; per-seed rows plus one mean row.
 
@@ -687,11 +714,7 @@ def run_experiment(cfg: ExperimentConfig, *, jobs: int = 1) -> list[ResultRow]:
     single seed): the square root of the correctly rounded sample variance,
     the same on every supported Python.
     """
-    param = _policy_param(cfg)
-    tasks = [(cfg, seed, param) for seed in cfg.seeds]
-    rows = _execute(tasks, jobs)
-    rows.append(_summary_row(rows))
-    return rows
+    return _run_points([(cfg, _policy_param(cfg))], jobs)
 
 
 def sweep(
@@ -714,24 +737,10 @@ def sweep(
         raise ConfigError(f"a {axis} sweep requires policy.kind = {' or '.join(kinds)}")
     if axis == "lambda" and cfg.workload.source != "synthetic":
         raise ConfigError("a lambda sweep requires a synthetic workload")
-    values = _grid(section, key, grid)
-    points = [override(cfg, section, key, value) for value in values]
-    tasks = []
-    for point_cfg, value in zip(points, values):
-        for seed in point_cfg.seeds:
-            tasks.append((point_cfg, seed, (axis, value)))
-    flat = _execute(tasks, jobs)
-
-    rows: list[ResultRow] = []
-    summaries: list[ResultRow] = []
-    n_seeds = len(cfg.seeds)
-    for i in range(len(points)):
-        point_rows = flat[i * n_seeds : (i + 1) * n_seeds]
-        summary = _summary_row(point_rows)
-        rows.extend(point_rows)
-        rows.append(summary)
-        summaries.append(summary)
-    best = min(summaries, key=lambda r: (r.cost_per_request, r.param_value))
+    points = [(override(cfg, section, key, v), (axis, v)) for v in _grid(section, key, grid)]
+    rows = _run_points(points, jobs)
+    means = (r for r in rows if r.seed == "mean")
+    best = min(means, key=lambda r: (r.cost_per_request, r.param_value))
     rows.append(replace(best, seed="argmin"))
     return rows
 

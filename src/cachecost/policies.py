@@ -17,7 +17,7 @@ import math
 from collections import OrderedDict
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
-from .analytic import CostModel, _check_int, _validate_ttl, keeps
+from .analytic import CostModel, _check_int, _check_real, _validate_ttl, keeps
 
 __all__ = [
     "GlobalTtlPolicy",
@@ -81,6 +81,10 @@ class GlobalTtlPolicy:
         return PolicyVerdict(hit, until)
 
 
+def _check_window(window: float) -> float:
+    return _check_real("window", window, 0, above=True)
+
+
 def count_threshold(window: float, costs: CostModel) -> int:
     """The fewest requests inside a window of this length whose rate
     estimate count/window strictly clears the break-even rate S/C.
@@ -89,9 +93,7 @@ def count_threshold(window: float, costs: CostModel) -> int:
     multiple of C/S. Rejects a window that is not positive and finite, or
     whose product with S/C overflows.
     """
-    window = float(window)
-    if not (math.isfinite(window) and window > 0.0):
-        raise ValueError(f"window must be positive and finite, got {window!r}")
+    window = _check_window(window)
     expected = window * costs.break_even_rate()
     if not math.isfinite(expected):
         raise ValueError(

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .analytic import PopulationModel, ZipfLaw, _check_int
+from .analytic import PopulationModel, ZipfLaw, _check_int, _check_real
 
 __all__ = [
     "Columns",
@@ -77,27 +77,25 @@ class TraceFormatError(ValueError):
         super().__init__(message)
 
 
-def _synthetic_blocks(
-    population: PopulationModel, duration: float, seed: int, block_size: int = _SYNTHETIC_BLOCK
-) -> Iterator[Columns]:
+def _check_duration(duration: float) -> float:
+    return _check_real("duration", duration, 0, above=True)
+
+
+def _synthetic_blocks(population: PopulationModel, duration: float, seed: int) -> Iterator[Columns]:
     """The draws behind `gen_synthetic`, block by block, cut at `duration`.
 
-    Each block holds `block_size` arrivals; the last one ends just before
-    the first arrival at or after `duration`.
+    Each block holds `_SYNTHETIC_BLOCK` arrivals; the last one ends just
+    before the first arrival at or after `duration`.
     """
-    duration = float(duration)
-    if not (math.isfinite(duration) and duration > 0.0):
-        raise ValueError(f"duration must be positive and finite, got {duration!r}")
+    duration = _check_duration(duration)
     seed = _check_int("seed", seed, 0)
-    if block_size < 1:
-        raise ValueError("block_size must be >= 1")
     rng = np.random.default_rng(seed)
     scale = 1.0 / population.lambda_global
     t = 0.0
     while True:
-        times = t + np.cumsum(rng.exponential(scale, block_size))
-        movies = population.movies.sample(rng, block_size)
-        ads = population.ads.sample(rng, block_size)
+        times = t + np.cumsum(rng.exponential(scale, _SYNTHETIC_BLOCK))
+        movies = population.movies.sample(rng, _SYNTHETIC_BLOCK)
+        ads = population.ads.sample(rng, _SYNTHETIC_BLOCK)
         if times[-1] >= duration:
             cut = int(np.searchsorted(times, duration, side="left"))
             yield Columns(times[:cut], movies[:cut], ads[:cut])
@@ -227,14 +225,8 @@ class CountTraceRecord:
             raise ValueError(f"movie id must be in [1, 2**63 - 1], got {self.movie}")
         if not 0 <= self.total_views <= MAX_ID:
             raise ValueError(f"total views must be in [0, 2**63 - 1], got {self.total_views}")
-        if not self.upload_time >= 0.0:
-            raise ValueError(f"upload time must be >= 0, got {self.upload_time}")
-        if not math.isfinite(self.horizon):
-            raise ValueError(f"horizon must be finite, got {self.horizon}")
-        if not self.horizon > self.upload_time:
-            raise ValueError(
-                f"horizon must exceed upload time, got {self.horizon} <= {self.upload_time}"
-            )
+        upload = _check_real("upload_time", self.upload_time, 0)
+        _check_real("horizon", self.horizon, upload, above=True)
         # Arrival times step by gaps of about this size; at or below the
         # spacing of floats near the horizon they stop advancing.
         if self.total_views:
@@ -285,9 +277,7 @@ def subsample_records(
 
     Deterministic for a fixed (records order, fraction, seed).
     """
-    fraction = float(fraction)
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    fraction = _check_real("fraction", fraction, 0, above=True, high=1)
     rng = np.random.default_rng(_check_int("seed", seed, 0))
     mask = rng.random(len(records)) < fraction
     return [rec for rec, keep in zip(records, mask) if keep]

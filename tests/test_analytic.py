@@ -21,9 +21,10 @@ from cachecost.analytic import (
     optimal_global_ttl,
     sample_item_rates,
 )
-from cachecost.policies import LruPolicy
+from cachecost.engine import run
+from cachecost.policies import GlobalTtlPolicy, IndividualTtlPolicy, LruPolicy
 from cachecost.presets import default_cost_model, default_population
-from cachecost.workload import CountTraceRecord, subsample_records
+from cachecost.workload import CountTraceRecord, gen_synthetic, subsample_records
 
 COSTS = default_cost_model()
 S = COSTS.storage_per_item_hour
@@ -114,25 +115,18 @@ def test_harmonic_rejects_bad_arguments():
 
 
 def test_zipf_pmf_degenerate_catalog():
-    assert ZipfLaw(1, 3.7).pmf(1) == 1.0
+    assert ZipfLaw(1, 3.7).probabilities[0] == 1.0
 
 
 def test_zipf_pmf_two_ranks_by_hand():
     law = ZipfLaw(2, 1.0)
-    assert law.pmf(1) == pytest.approx(2.0 / 3.0, rel=1e-12)
-    assert law.pmf(2) == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert law.probabilities[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert law.probabilities[1] == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def test_zipf_pmf_top_rank_is_reciprocal_harmonic():
     law = ZipfLaw(10_000, 0.8)
-    assert law.pmf(1) == pytest.approx(1.0 / harmonic(10_000, 0.8), rel=1e-12)
-
-
-def test_zipf_pmf_rejects_out_of_range_rank():
-    law = ZipfLaw(100, 0.8)
-    for rank in (0, -1, 101):
-        with pytest.raises(ValueError):
-            law.pmf(rank)
+    assert law.probabilities[0] == pytest.approx(1.0 / harmonic(10_000, 0.8), rel=1e-12)
 
 
 @pytest.mark.parametrize("n,s", [(10_000, 0.8), (5_000, 0.94), (500, 0.91), (7, 0.0)])
@@ -165,7 +159,7 @@ def test_zipf_sampling_prefers_low_ranks():
     law = ZipfLaw(1000, 0.9)
     draws = law.sample(np.random.default_rng(3), 50_000)
     top = np.mean(draws == 1)
-    assert top == pytest.approx(law.pmf(1), rel=0.1)
+    assert top == pytest.approx(law.probabilities[0], rel=0.1)
 
 
 # --- population model -------------------------------------------------------
@@ -174,7 +168,7 @@ def test_zipf_sampling_prefers_low_ranks():
 def test_population_joint_pmf_factorizes():
     pm = default_population(100.0)
     assert pm.rates(3, 17) == pytest.approx(
-        100.0 * pm.movies.pmf(3) * pm.ads.pmf(17), rel=1e-15
+        100.0 * pm.movies.probabilities[2] * pm.ads.probabilities[16], rel=1e-15
     )
     rates = pm.rates(np.array([3, 1]), np.array([17, 5]))
     assert rates.tolist() == [pm.rates(3, 17), pm.rates(1, 5)]
@@ -251,6 +245,78 @@ def test_integer_rule_accepts_numpy_integers_as_plain_ints(caller):
         assert out == call(low)
     else:
         assert kept(out) == low and type(kept(out)) is int
+
+
+# Every real-valued argument passes one rule: (checked name, bound, whether
+# the bound itself is out, what the rule admits on top: None for finite
+# values only, or an inclusive ceiling, the call, the float it keeps or None
+# when it keeps none).
+REAL_CALLERS = {
+    "CostModel.storage": ("storage_per_item_hour", 0, True, None,
+                          lambda v: CostModel(v, C, X), lambda m: m.storage_per_item_hour),
+    "CostModel.compute": ("compute_per_item", 0, True, None,
+                          lambda v: CostModel(S, v, X), lambda m: m.compute_per_item),
+    "CostModel.transmission": ("transmission_per_item", 0, False, None,
+                               lambda v: CostModel(S, C, v), lambda m: m.transmission_per_item),
+    "harmonic": ("s", 0, False, None, lambda v: harmonic(3, v), None),
+    "ZipfLaw": ("exponent", 0, False, None, lambda v: ZipfLaw(3, v), lambda law: law.s),
+    "PopulationModel": ("lambda_global", 0, True, None,
+                        lambda v: PopulationModel(ZipfLaw(2, 0.5), ZipfLaw(2, 0.5), v),
+                        lambda pm: pm.lambda_global),
+    "expected_item_cost.rate": ("rate", 0, True, None,
+                                lambda v: expected_item_cost(v, 1.0, COSTS), None),
+    "keep_decision": ("rate", 0, False, None, lambda v: keep_decision(v, COSTS), None),
+    "GlobalTtlPolicy": ("ttl", 0, False, math.inf, GlobalTtlPolicy, lambda p: p.ttl),
+    "run.warmup": ("warmup", 0, False, None,
+                   lambda v: run(iter(()), GlobalTtlPolicy(1.0), COSTS, warmup=v), None),
+    "IndividualTtlPolicy": ("window", 0, True, None,
+                            lambda v: IndividualTtlPolicy(v, COSTS), lambda p: p.window),
+    "gen_synthetic": ("duration", 0, True, None,
+                      lambda v: next(gen_synthetic(default_population(1.0), v, 0), None), None),
+    "CountTraceRecord.upload_time": ("upload_time", 0, False, None,
+                                     lambda v: CountTraceRecord(1, v, 0, 10.0),
+                                     lambda rec: rec.upload_time),
+    "CountTraceRecord.horizon": ("horizon", 2.0, True, None,
+                                 lambda v: CountTraceRecord(1, 2.0, 0, v), lambda rec: rec.horizon),
+    "subsample_records": ("fraction", 0, True, 1,
+                          lambda v: subsample_records(_RECORDS, v, 0), None),
+}
+
+
+def _real_cases(name, low, above, top):
+    """(value, message or None when the value is accepted) at NaN, -inf, the
+    bound, just inside it, +inf and, below a finite ceiling, around that."""
+    op = ">" if above else ">="
+    cases = [
+        (math.nan, f"{name} must be {op} {low}, got nan"),
+        (-math.inf, f"{name} must be {op} {low}, got -inf"),
+        (float(low), f"{name} must be {op} {low}, got {float(low)!r}" if above else None),
+        (math.nextafter(low, math.inf), None),
+    ]
+    if top is None:
+        return cases + [(math.inf, f"{name} must be finite, got inf")]
+    if top == math.inf:
+        return cases + [(math.inf, None)]
+    over = math.nextafter(top, math.inf)
+    return cases + [
+        (float(top), None),
+        (over, f"{name} must be <= {top}, got {over!r}"),
+        (math.inf, f"{name} must be <= {top}, got inf"),
+    ]
+
+
+@pytest.mark.parametrize("caller", REAL_CALLERS)
+def test_real_rule_rejects_with_the_exact_message_and_keeps_the_float(caller):
+    name, low, above, top, call, kept = REAL_CALLERS[caller]
+    for value, message in _real_cases(name, low, above, top):
+        if message is None:
+            out = call(value)
+            if kept is not None:
+                assert kept(out) == value and type(kept(out)) is float
+            continue
+        with pytest.raises(ValueError) as err:
+            call(value)
+        assert str(err.value) == message
 
 
 # --- per-item expected cost -------------------------------------------------

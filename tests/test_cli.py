@@ -171,17 +171,49 @@ def test_config_with_a_byte_order_mark_reads_as_without(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["[costs]\ngarbage line\n", "x = 1\n", "[costs]\nx = 1\nx = 2\n"],
-    ids=["garbage-line", "no-section-header", "duplicate-option"],
+    "text,line",
+    [
+        ("[costs]\ngarbage line\n", "line 2: {} is not INI syntax: "
+         "a line that is not [section] or key = value"),
+        ("x = 1\n", "line 1: {} is not INI syntax: a line before the first [section] header"),
+        ("[costs]\nx = 1\nx = 2\n", "line 3: {} is not INI syntax: key 'x' given twice in [costs]"),
+        ("[costs]\n[run]\n\n[costs]\n", "line 4: {} is not INI syntax: "
+         "section [costs] given twice"),
+    ],
+    ids=["garbage-line", "no-section-header", "duplicate-option", "duplicate-section"],
 )
-def test_config_syntax_error_is_one_line_naming_the_file(tmp_path, capsys, text):
+def test_config_syntax_error_is_one_line_naming_the_file(tmp_path, capsys, text, line):
     bad = tmp_path / "bad.ini"
     bad.write_text(text)
     assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and str(bad) in err
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == f"config error: {line.format(bad)}\n"
+
+
+@pytest.mark.parametrize(
+    "old,new,line",
+    [
+        ("lambda = 30.0", "lambda = 0", "population.lambda: lambda_global must be > 0, got 0.0"),
+        ("ttl = 60.0", "ttl = nan", "policy.ttl: ttl must be >= 0, got nan"),
+        ("kind = global_ttl\nttl = 60.0", "kind = individual_ttl\nwindow = inf",
+         "policy.window: window must be finite, got inf"),
+        ("kind = global_ttl\nttl = 60.0", "kind = lru\ncapacity = 0",
+         "policy.capacity: capacity must be >= 1, got 0"),
+        ("duration = 20.0", "duration = -1", "workload.duration: duration must be > 0, got -1.0"),
+        ("source = synthetic\nduration = 20.0",
+         "source = count_trace\npath = counts.csv\nad_catalog = 5\nad_exponent = 0.9\n"
+         "subsample = 1.5",
+         "workload.subsample: fraction must be <= 1, got 1.5"),
+        ("seeds = 1,2", "seeds = 1,-2", "run.seeds: seed must be >= 0, got -2"),
+        ("seeds = 1,2", "seeds = 1,2\nwarmup = inf", "run.warmup: warmup must be finite, got inf"),
+    ],
+    ids=["lambda", "ttl", "window", "capacity", "duration", "subsample", "seeds", "warmup"],
+)
+def test_out_of_range_key_is_one_config_error_line(tmp_path, capsys, old, new, line):
+    (tmp_path / "counts.csv").write_text("1,0.0,100,48.0\n")
+    bad = tmp_path / "bad.ini"
+    bad.write_text(CONFIG.replace(old, new))
+    assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {line}\n"
 
 
 def test_malformed_trace_exits_with_trace_code(tmp_path, capsys):

@@ -278,6 +278,104 @@ path = {trace}
 """)
 
 
+VOD_COUNTS = CONFIGS.parent / "src" / "cachecost" / "data" / "vod_premium.csv"
+
+
+def _key_config(key, value):
+    """SMALL_SYNTH with `key` set to `value`, under a policy kind or
+    workload source it applies to."""
+    if key in ("ttl", "window", "capacity", "lambda"):
+        return _axis_config(key, value)
+    if key == "subsample":
+        return BASE_COSTS + f"""
+[policy]
+kind = global_ttl
+ttl = 60.0
+
+[workload]
+source = count_trace
+path = {VOD_COUNTS}
+ad_catalog = 20
+ad_exponent = 0.9
+subsample = {value}
+"""
+    line = {"duration": "duration = 30.0", "warmup": "warmup = 0.0", "seeds": "seeds = 1,2,3"}[key]
+    return SMALL_SYNTH.replace(line, f"{key} = {value}")
+
+
+# Each real-valued config key checked by a library rule: (section.key, the
+# library's name for it, bound, whether the bound itself is out, what it
+# admits on top: None for finite values only, or an inclusive ceiling, and
+# where the parsed config keeps it).
+REAL_KEYS = {
+    "lambda": ("population.lambda", "lambda_global", 0, True, None,
+               lambda cfg: cfg.population.lambda_global),
+    "window": ("policy.window", "window", 0, True, None, lambda cfg: cfg.policy.window),
+    "duration": ("workload.duration", "duration", 0, True, None, lambda cfg: cfg.workload.duration),
+    "ttl": ("policy.ttl", "ttl", 0, False, math.inf, lambda cfg: cfg.policy.ttl),
+    "warmup": ("run.warmup", "warmup", 0, False, None, lambda cfg: cfg.warmup),
+    "subsample": ("workload.subsample", "fraction", 0, True, 1, lambda cfg: cfg.workload.subsample),
+}
+
+
+def _real_key_cases(where, name, low, above, top):
+    """(value, ConfigError message or None when accepted) at NaN, -inf, the
+    bound, just inside it, +inf and, below a finite ceiling, around that."""
+    op = ">" if above else ">="
+    cases = [
+        (math.nan, f"{where}: {name} must be {op} {low}, got nan"),
+        (-math.inf, f"{where}: {name} must be {op} {low}, got -inf"),
+        (0.0, f"{where}: {name} must be {op} {low}, got 0.0" if above else None),
+        (math.nextafter(low, math.inf), None),
+    ]
+    if top is None:
+        return cases + [(math.inf, f"{where}: {name} must be finite, got inf")]
+    if top == math.inf:
+        return cases + [(math.inf, None)]
+    over = math.nextafter(top, math.inf)
+    return cases + [
+        (float(top), None),
+        (over, f"{where}: {name} must be <= {top}, got {over!r}"),
+        (math.inf, f"{where}: {name} must be <= {top}, got inf"),
+    ]
+
+
+@pytest.mark.parametrize("key", REAL_KEYS)
+def test_real_key_uses_the_library_rule(key):
+    where, name, low, above, top, kept = REAL_KEYS[key]
+    for value, message in _real_key_cases(where, name, low, above, top):
+        text = _key_config(key, repr(value))
+        if message is None:
+            out = kept(_cfg(text))
+            assert out == value and type(out) is float
+            continue
+        with pytest.raises(ConfigError) as err:
+            _cfg(text)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "key,text,message,kept",
+    [
+        ("capacity", "nan", "policy.capacity: not an integer: 'nan'", None),
+        ("capacity", "inf", "policy.capacity: not an integer: 'inf'", None),
+        ("capacity", "0", "policy.capacity: capacity must be >= 1, got 0", None),
+        ("capacity", "1", None, lambda cfg: cfg.policy.capacity == 1),
+        ("seeds", "nan", "run.seeds: not an integer: 'nan'", None),
+        ("seeds", "1,-1", "run.seeds: seed must be >= 0, got -1", None),
+        ("seeds", "", "run.seeds: must list at least one seed", None),
+        ("seeds", "0", None, lambda cfg: cfg.seeds == (0,)),
+    ],
+)
+def test_integer_key_uses_the_library_rule(key, text, message, kept):
+    if message is None:
+        assert kept(_cfg(_key_config(key, text)))
+        return
+    with pytest.raises(ConfigError) as err:
+        _cfg(_key_config(key, text))
+    assert str(err.value) == message
+
+
 def test_bad_monte_carlo_is_rejected():
     with pytest.raises(ConfigError):
         _cfg(SMALL_SYNTH + "\n[monte_carlo]\nsamples = 0\n")

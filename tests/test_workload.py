@@ -144,15 +144,12 @@ def test_synthetic_rejects_bad_arguments():
         list(gen_synthetic(pm, 10.0, seed=True))
 
 
-@pytest.mark.parametrize(
-    "duration,block_size",
-    [(20.3, 8192), (20.3, 7), (20.3, 1), (0.001, 8192)],
-)
-def test_synthetic_columns_equal_the_request_stream(duration, block_size):
-    # 8192 cuts inside the first block, 7 and 1 after many blocks; the last
-    # case draws no request at all
+@pytest.mark.parametrize("duration", [20.3, 600.0, 0.001])
+def test_synthetic_columns_equal_the_request_stream(duration):
+    # At 50 requests/h, 20.3 h cuts inside the first 8192-arrival block and
+    # 600 h after three of them; 0.001 h draws no request at all
     pm = PopulationModel(ZipfLaw(30, 0.8), ZipfLaw(4, 0.9), 50.0)
-    cols = columns_of(_synthetic_blocks(pm, duration, 3, block_size))
+    cols = columns_of(_synthetic_blocks(pm, duration, 3))
     assert (cols.times.dtype, cols.movies.dtype, cols.ads.dtype) == (
         np.float64,
         np.int64,
@@ -162,7 +159,7 @@ def test_synthetic_columns_equal_the_request_stream(duration, block_size):
         (t, (m, a))
         for t, m, a in zip(cols.times.tolist(), cols.movies.tolist(), cols.ads.tolist())
     ]
-    assert rebuilt == list(requests_of(_synthetic_blocks(pm, duration, 3, block_size)))
+    assert rebuilt == list(requests_of(_synthetic_blocks(pm, duration, 3)))
 
 
 def test_collect_columns_stores_an_unset_ad_as_minus_one():
