@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachecost.analytic import PopulationModel, ZipfLaw
+from cachecost import workload
 from cachecost.presets import default_population
 from cachecost.workload import (
     BLOCK_REQUESTS,
@@ -144,10 +145,15 @@ def test_synthetic_rejects_bad_arguments():
         list(gen_synthetic(pm, 10.0, seed=True))
 
 
-@pytest.mark.parametrize("duration", [20.3, 600.0, 0.001])
-def test_synthetic_columns_equal_the_request_stream(duration):
-    # At 50 requests/h, 20.3 h cuts inside the first 8192-arrival block and
-    # 600 h after three of them; 0.001 h draws no request at all
+@pytest.mark.parametrize(
+    "duration,block_size",
+    [(20.3, 8192), (20.3, 7), (20.3, 1), (600.0, 8192), (0.001, 8192)],
+)
+def test_synthetic_columns_equal_the_request_stream(duration, block_size, monkeypatch):
+    # At 50 requests/h, 20.3 h cuts inside the first 8192-arrival block, and
+    # after many blocks of 7 or 1; 600 h cuts after three 8192-arrival
+    # blocks; 0.001 h draws no request at all
+    monkeypatch.setattr(workload, "_SYNTHETIC_BLOCK", block_size)
     pm = PopulationModel(ZipfLaw(30, 0.8), ZipfLaw(4, 0.9), 50.0)
     cols = columns_of(_synthetic_blocks(pm, duration, 3))
     assert (cols.times.dtype, cols.movies.dtype, cols.ads.dtype) == (
