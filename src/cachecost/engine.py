@@ -216,12 +216,31 @@ def by_item(trace: Columns) -> ItemOrder:
         raise InvariantViolation(
             f"trace time regression: {float(times[i])} after {float(prev[i])}"
         )
-    order = np.lexsort((trace.ads, trace.movies))
-    same = np.ones(max(n - 1, 0), dtype=bool)
-    for ids in (trace.movies, trace.ads):
-        ids = ids[order]
-        same &= ids[1:] == ids[:-1]
+    key = _item_key(trace.movies, trace.ads)
+    if key is None:
+        order = np.lexsort((trace.ads, trace.movies))
+        same = np.ones(max(n - 1, 0), dtype=bool)
+        for ids in (trace.movies, trace.ads):
+            ids = ids[order]
+            same &= ids[1:] == ids[:-1]
+    else:
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        same = key[1:] == key[:-1]
     return ItemOrder(order, times[order], same, float(times[-1]) if n else 0.0)
+
+
+def _item_key(movies: np.ndarray, ads: np.ndarray) -> "np.ndarray | None":
+    """One int64 per request that orders as its (movie, ad) pair does, or
+    None when the trace is empty or its ids span too wide for such a key
+    to fit in int64."""
+    if movies.size == 0:
+        return None
+    low_movie, low_ad = int(movies.min()), int(ads.min())
+    span = int(ads.max()) - low_ad + 1
+    if (int(movies.max()) - low_movie + 1) * span > 2**63:
+        return None
+    return (movies - low_movie) * span + (ads - low_ad)
 
 
 def _after(same: np.ndarray, flags: np.ndarray) -> np.ndarray:

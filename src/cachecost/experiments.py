@@ -3,9 +3,10 @@
 A config is a flat INI-style text with one level of sections. It pins the
 prices, the policy and its parameter, the workload source and the run
 discipline (seeds, warmup), so a result is reproducible from the config
-file alone. Execution fans out over independent (grid point, seed) runs,
-optionally on a process pool, and is collected in a stable order: the
-emitted CSV is byte-identical no matter how many workers ran it.
+file alone. Execution fans out over independent tasks, one per seed or per
+(grid point, seed), optionally on a process pool, and is collected in a
+stable order: the emitted CSV is byte-identical no matter how many workers
+ran it.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .analytic import (
     optimal_global_ttl,
 )
 from .engine import (
+    CostLedger,
     ItemOrder,
     Verdicts,
     _check_warmup,
@@ -294,6 +296,10 @@ _SCOPE_NAMES = {
     "count_trace": "count traces",
 }
 
+# Most expected arrivals, lambda * duration, of a synthetic run: about 24 GB
+# of trace columns. A longer run could not finish.
+MAX_ARRIVALS = 1e9
+
 # sweep axis -> the [section] key it sets
 SWEEP_AXES = {
     "ttl": ("policy", "ttl"),
@@ -391,6 +397,13 @@ def _build(given: "dict[str, dict]", base_dir: "str | Path | None" = None) -> Ex
             count_threshold(cfg.policy.window, cfg.costs)
         except ValueError as err:
             raise ConfigError(f"policy.{err}") from None
+    if source == "synthetic":
+        arrivals = cfg.population.lambda_global * cfg.workload.duration
+        if arrivals > MAX_ARRIVALS:
+            raise ConfigError(
+                f"population.lambda * workload.duration is {arrivals!r} expected "
+                f"arrivals, above the limit of {MAX_ARRIVALS:g}"
+            )
     if source == "synthetic" and cfg.warmup >= cfg.workload.duration:
         raise ConfigError(
             f"run.warmup ({cfg.warmup}) must be smaller than "
@@ -538,8 +551,9 @@ def build_trace(cfg: ExperimentConfig, seed: int) -> Iterator[Columns]:
     return overlay_ads(blocks, law, overlay_seed)
 
 
-def _verdicts(cfg: ExperimentConfig, trace: Columns, items: ItemOrder) -> Verdicts:
-    """The configured policy's verdicts on every request of a non-LRU run."""
+def _verdicts(cfg: ExperimentConfig, items: ItemOrder, rates: "np.ndarray | None") -> Verdicts:
+    """The configured policy's verdicts on every request of a non-LRU run;
+    `rates` are known_rate's true item rates in trace order."""
     kind = cfg.policy.kind
     if kind == "global_ttl":
         return global_ttl_verdicts(items, cfg.policy.ttl)
@@ -548,7 +562,6 @@ def _verdicts(cfg: ExperimentConfig, trace: Columns, items: ItemOrder) -> Verdic
     if kind == "lower_bound":
         return lower_bound_verdicts(items, cfg.costs)
     if kind == "known_rate":
-        rates = cfg.population_model().rates(trace.movies, trace.ads)
         return known_rate_verdicts(items, rates, cfg.costs)
     raise ConfigError(f"unknown policy kind {kind!r}")
 
@@ -587,17 +600,24 @@ def _checksum(block: Columns, crc: int) -> int:
 
 
 def _run_single(
-    cfg: ExperimentConfig, seed: int, param: "tuple[str, float | int | str] | None" = None
-) -> ResultRow:
-    """One (config, seed) simulation producing one CSV row.
+    cfg: ExperimentConfig,
+    seed: int,
+    points: "Sequence[tuple[ExperimentConfig, tuple]] | None" = None,
+) -> list[ResultRow]:
+    """One task: the trace of (cfg, seed) priced at each (config, param)
+    point, one CSV row per point.
 
-    The trace streams through as blocks, each folded into the checksum as
-    it passes. LRU replays its requests through the event engine. Every
-    other policy is priced from the blocks joined into columns: the trace
-    is sorted by item, the policy's verdicts come as arrays and
-    `run_length_ledger` prices them. A ledger with a non-finite dollar
-    field is rejected.
+    The points differ from cfg at most in the policy parameter, so they
+    share its trace; by default cfg is the one point. The trace streams
+    through as blocks, each folded into the checksum as it passes. LRU
+    replays its requests through the event engine, so it takes one point.
+    Every other policy is priced from the blocks joined into columns: the
+    trace is sorted by item once, then point by point the policy's verdicts
+    come as arrays and `run_length_ledger` prices them. A ledger with a
+    non-finite dollar field is rejected; the first point that fails raises.
     """
+    if points is None:
+        points = [(cfg, _policy_param(cfg))]
     crc, last_time = 0, None
 
     def checked(blocks: Iterator[Columns]) -> Iterator[Columns]:
@@ -610,44 +630,57 @@ def _run_single(
 
     trace = checked(build_trace(cfg, seed))
     if cfg.policy.kind == "lru":
-        policy = LruPolicy(cfg.policy.capacity)
-        ledger = run(requests_of(trace), policy, cfg.costs, warmup=cfg.warmup)
+        [(point, _)] = points
+        policy = LruPolicy(point.policy.capacity)
+        ledgers = [run(requests_of(trace), policy, point.costs, warmup=point.warmup)]
     else:
         trace = columns_of(trace)
         items = by_item(trace)
-        verdicts = _verdicts(cfg, trace, items)
+        # known_rate has no sweep axis: its one point reads the trace's ids.
+        rates = None
+        if cfg.policy.kind == "known_rate":
+            rates = cfg.population_model().rates(trace.movies, trace.ads)
         del trace  # the sorted copy is all the pricing reads
-        ledger = run_length_ledger(items, verdicts, cfg.costs, warmup=cfg.warmup)
-    if ledger.requests == 0:
-        if last_time is None:
-            raise TraceFormatError("the trace holds no requests")
-        raise ConfigError(
-            f"run.warmup ({cfg.warmup!r}) lies past the last request of the trace "
-            f"(at {last_time!r} h); no request is priced"
-        )
-    name, value = param if param is not None else _policy_param(cfg)
-    dollars = {
-        "compute_d": ledger.compute_dollars,
-        "storage_d": ledger.storage_dollars,
-        "transmission_d": ledger.transmission_dollars,
-        "cost_per_request": cost_per_request(ledger),
-    }
-    for field, amount in dollars.items():
-        if not math.isfinite(amount):
-            raise ConfigError(
-                f"{field} overflows float range ({amount!r}) for seed {seed}; "
-                "the prices are too large for this trace"
+        ledgers = (
+            run_length_ledger(
+                items, _verdicts(point, items, rates), point.costs, warmup=point.warmup
             )
-    return ResultRow(
-        policy=cfg.policy.kind,
-        param_name=name,
-        param_value=value,
-        seed=str(seed),
-        requests=ledger.requests,
-        hits=ledger.hits,
-        **dollars,
-        trace_checksum=format(crc & 0xFFFFFFFF, "08x"),
-    )
+            for point, _ in points
+        )
+
+    def row(point: ExperimentConfig, param: tuple, ledger: CostLedger) -> ResultRow:
+        if ledger.requests == 0:
+            if last_time is None:
+                raise TraceFormatError("the trace holds no requests")
+            raise ConfigError(
+                f"run.warmup ({point.warmup!r}) lies past the last request of the trace "
+                f"(at {last_time!r} h); no request is priced"
+            )
+        dollars = {
+            "compute_d": ledger.compute_dollars,
+            "storage_d": ledger.storage_dollars,
+            "transmission_d": ledger.transmission_dollars,
+            "cost_per_request": cost_per_request(ledger),
+        }
+        for field, amount in dollars.items():
+            if not math.isfinite(amount):
+                raise ConfigError(
+                    f"{field} overflows float range ({amount!r}) for seed {seed}; "
+                    "the prices are too large for this trace"
+                )
+        name, value = param
+        return ResultRow(
+            policy=point.policy.kind,
+            param_name=name,
+            param_value=value,
+            seed=str(seed),
+            requests=ledger.requests,
+            hits=ledger.hits,
+            **dollars,
+            trace_checksum=format(crc & 0xFFFFFFFF, "08x"),
+        )
+
+    return [row(point, param, ledger) for (point, param), ledger in zip(points, ledgers)]
 
 
 def _summary_row(rows: Sequence[ResultRow]) -> ResultRow:
@@ -683,26 +716,35 @@ def _summary_row(rows: Sequence[ResultRow]) -> ResultRow:
         ) from None
 
 
-def _execute(tasks: "list[tuple[ExperimentConfig, int, tuple]]", jobs: int) -> list[ResultRow]:
+def _execute(
+    tasks: "list[tuple[ExperimentConfig, int, list]]", jobs: int
+) -> "list[list[ResultRow]]":
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(tasks) <= 1:
-        return [_run_single(cfg, seed, param) for cfg, seed, param in tasks]
+        return [_run_single(*task) for task in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_run_single, cfg, seed, param) for cfg, seed, param in tasks]
+        futures = [pool.submit(_run_single, *task) for task in tasks]
         return [f.result() for f in futures]
 
 
-def _run_points(points: "list[tuple[ExperimentConfig, tuple]]", jobs: int) -> list[ResultRow]:
-    """Run each (config, param) point once per seed of its config, all on
-    one pool; per point, its per-seed rows then its mean row."""
-    tasks = [(cfg, seed, param) for cfg, param in points for seed in cfg.seeds]
+def _run_points(
+    points: "list[tuple[ExperimentConfig, tuple]]", jobs: int, *, shared: bool = False
+) -> list[ResultRow]:
+    """Run each (config, param) point once per seed, all on one pool; per
+    point, its per-seed rows then its mean row. The points share their
+    seeds. With `shared` they also share each seed's trace, and one task
+    per seed prices them all; otherwise each (point, seed) is a task."""
+    seeds = points[0][0].seeds
+    groups = [points] if shared else [[point] for point in points]
+    tasks = [(group[0][0], seed, group) for group in groups for seed in seeds]
     done = iter(_execute(tasks, jobs))
     rows: list[ResultRow] = []
-    for cfg, _ in points:
-        point_rows = list(islice(done, len(cfg.seeds)))
-        rows += point_rows
-        rows.append(_summary_row(point_rows))
+    for _ in groups:
+        # this group's tasks, seed by seed, each with a row per point
+        for point_rows in zip(*islice(done, len(seeds))):
+            rows += point_rows
+            rows.append(_summary_row(point_rows))
     return rows
 
 
@@ -723,10 +765,11 @@ def sweep(
     """Sweep one axis over a grid: per-seed rows, per-point means, argmin.
 
     Seeds are shared across grid points, so on axes that do not touch the
-    workload every point replays the identical trace per seed (the
-    trace_checksum column proves it). The final row, seed = "argmin",
-    repeats the grid point with the lowest mean cost; ties resolve to the
-    smaller parameter value. Grid values obey the rules of the config key
+    workload every point prices the identical trace per seed (the
+    trace_checksum column proves it); on the ttl and window axes that trace
+    is built, checksummed and sorted once per seed for all points. The
+    final row, seed = "argmin", repeats the grid point with the lowest mean
+    cost; ties resolve to the smaller parameter value. Grid values obey the rules of the config key
     the axis sets (SWEEP_AXES).
     """
     if axis not in SWEEP_AXES:
@@ -738,7 +781,10 @@ def sweep(
     if axis == "lambda" and cfg.workload.source != "synthetic":
         raise ConfigError("a lambda sweep requires a synthetic workload")
     points = [(override(cfg, section, key, v), (axis, v)) for v in _grid(section, key, grid)]
-    rows = _run_points(points, jobs)
+    # One task per seed when the axis leaves the trace alone and the kind
+    # prices from columns; LRU replays each point through the engine.
+    shared = section == "policy" and cfg.policy.kind != "lru"
+    rows = _run_points(points, jobs, shared=shared)
     means = (r for r in rows if r.seed == "mean")
     best = min(means, key=lambda r: (r.cost_per_request, r.param_value))
     rows.append(replace(best, seed="argmin"))

@@ -226,7 +226,9 @@ class CountTraceRecord:
         if not 0 <= self.total_views <= MAX_ID:
             raise ValueError(f"total views must be in [0, 2**63 - 1], got {self.total_views}")
         upload = _check_real("upload_time", self.upload_time, 0)
-        _check_real("horizon", self.horizon, upload, above=True)
+        horizon = _check_real("horizon", self.horizon, upload, above=True)
+        object.__setattr__(self, "upload_time", upload)
+        object.__setattr__(self, "horizon", horizon)
         # Arrival times step by gaps of about this size; at or below the
         # spacing of floats near the horizon they stop advancing.
         if self.total_views:

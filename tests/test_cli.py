@@ -402,6 +402,29 @@ def test_cost_variance_past_float_range_is_config_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_whose_last_point_overflows_is_one_config_error(tmp_path, capsys, jobs):
+    # ttl 0 stores nothing; ttl 1e308 keeps every item to the trace end
+    text = CONFIG.replace("4.86e-7", "1e306")
+    args = ["--config", str(_priced(text, tmp_path)), "--ttl-grid", "0,1e308", "--jobs", jobs]
+    assert main(["sweep", *args]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: storage_d overflows float range (inf) for seed 1;")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "duration, arrivals", [("1e308", "inf"), ("3.4e7", "1020000000.0")], ids=["inf", "finite"]
+)
+def test_synthetic_run_past_the_arrival_limit_is_config_error(tmp_path, capsys, duration, arrivals):
+    text = CONFIG.replace("duration = 20.0", f"duration = {duration}")
+    assert main(["run", "--config", str(_priced(text, tmp_path))]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: population.lambda * workload.duration is {arrivals} "
+        "expected arrivals, above the limit of 1e+09\n"
+    )
+
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -426,6 +449,20 @@ def test_request_trace_sweep_bytes_do_not_depend_on_jobs(tmp_path):
 def test_count_trace_sweep_bytes_do_not_depend_on_jobs(tmp_path):
     args = ["--config", str(CONFIGS / "trace_ugc_small_window_sweep.ini"), "--window-grid", "740.74,2962.96"]
     one = _sweep_bytes([*args, "--jobs", "1"], tmp_path / "one.csv")
+    assert _sweep_bytes([*args, "--jobs", "2"], tmp_path / "two.csv") == one
+
+
+def test_request_trace_window_sweep_bytes_do_not_depend_on_jobs(tmp_path):
+    # each seed's overlaid trace is shared by the grid, whose windows give
+    # count thresholds K = 1, 1 and 2
+    trace = tmp_path / "t.csv"
+    trace.write_text("".join(f"{i * 0.5!r},{i * 7919 % 40 + 1}\n" for i in range(9000)))
+    cfg = tmp_path / "t.ini"
+    text = TRACE_CONFIG.format(policy="kind = individual_ttl\nwindow = 100.0", path=trace, warmup=10.0)
+    cfg.write_text(text.replace("[run]", "ad_catalog = 3\nad_exponent = 0.9\n\n[run]\nseeds = 1,2,3"))
+    args = ["--config", str(cfg), "--window-grid", "500,1481.48,2962.96"]
+    one = _sweep_bytes([*args, "--jobs", "1"], tmp_path / "one.csv")
+    assert one.count(b"\n") == 14  # header, 3 points x (3 seeds + mean), argmin
     assert _sweep_bytes([*args, "--jobs", "2"], tmp_path / "two.csv") == one
 
 

@@ -13,6 +13,7 @@ from cachecost.analytic import CostModel, PopulationModel, ZipfLaw
 from cachecost.engine import (
     InvariantViolation,
     Verdicts,
+    _item_key,
     by_item,
     cost_per_request,
     global_ttl_verdicts,
@@ -322,6 +323,54 @@ def _columnar_global_ttl(reqs, ttl, warmup=0.0):
 def test_nan_or_regressing_time_is_rejected(price, pairs):
     with pytest.raises(InvariantViolation, match="regression"):
         price(_trace(*pairs), 60.0)
+
+
+# --- the sort by item -----------------------------------------------------------
+
+
+def _lexsort_check(movies, ads):
+    """`by_item`'s order and same-item flags equal those of a stable lexsort."""
+    trace = Columns(
+        np.arange(len(movies), dtype=np.float64),
+        np.array(movies, dtype=np.int64),
+        np.array(ads, dtype=np.int64),
+    )
+    items = by_item(trace)
+    want = np.lexsort((trace.ads, trace.movies))
+    assert items.order.tolist() == want.tolist()
+    pairs = list(zip(trace.movies[want].tolist(), trace.ads[want].tolist()))
+    assert items.same.tolist() == [a == b for a, b in zip(pairs, pairs[1:])]
+    return _item_key(trace.movies, trace.ads) is not None
+
+
+BIG = 2**63 - 1
+
+
+@pytest.mark.parametrize(
+    "movies, ads, keyed",
+    [
+        # ties on both ids, ad -1 beside drawn ads, movies out of order
+        ([5, 2, 5, 2, 2, 5, 9, 2, 5], [-1, 3, -1, -1, 3, 7, -1, 3, -1], True),
+        # 2 movies x 2**62 ads: the largest key is 2**63 - 1
+        ([2, 1, 2, 1], [1, 2**62, 2**62, 1], True),
+        # one ad more and the keys pass the int64 limit
+        ([2, 1, 2, 1], [1, 2**62 + 1, 2**62 + 1, 1], False),
+        ([BIG, 1, BIG, 1, 1], [-1, BIG, -1, -1, BIG], False),
+        ([], [], False),
+    ],
+    ids=["ties", "at-limit", "past-limit", "largest-ids", "empty"],
+)
+def test_by_item_orders_as_lexsort(movies, ads, keyed):
+    assert _lexsort_check(movies, ads) == keyed
+
+
+_IDS = st.sampled_from([1, 2, 3, 2**31, 2**62, BIG])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_IDS, st.one_of(st.just(-1), _IDS)), max_size=40))
+def test_by_item_orders_as_lexsort_on_any_ids(pairs):
+    _lexsort_check([m for m, _ in pairs], [a for _, a in pairs])
 
 
 # --- columnar global TTL against the engine as oracle --------------------------

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cachecost import experiments
 from cachecost.experiments import (
     ANALYTIC_COLUMNS,
     CSV_COLUMNS,
@@ -26,6 +27,7 @@ from cachecost.experiments import (
     build_trace,
     emit_csv,
     load_config,
+    override,
     parse_config,
     run_experiment,
     serialize_config,
@@ -376,6 +378,16 @@ def test_integer_key_uses_the_library_rule(key, text, message, kept):
     assert str(err.value) == message
 
 
+def test_synthetic_arrivals_are_accepted_up_to_the_limit_only():
+    at_limit = SMALL_SYNTH.replace("lambda = 40.0", "lambda = 100.0")
+    assert _cfg(at_limit.replace("duration = 30.0", "duration = 1e7")).workload.duration == 1e7
+    with pytest.raises(ConfigError, match="above the limit of 1e"):
+        _cfg(at_limit.replace("duration = 30.0", "duration = 1.0000001e7"))
+    # a lambda sweep checks every grid point's config
+    with pytest.raises(ConfigError, match="above the limit of 1e"):
+        sweep(_cfg(), "lambda", [40.0, 1e308])
+
+
 def test_bad_monte_carlo_is_rejected():
     with pytest.raises(ConfigError):
         _cfg(SMALL_SYNTH + "\n[monte_carlo]\nsamples = 0\n")
@@ -499,7 +511,12 @@ def _long_trace_config(tmp_path, kind, ads):
             for i in range(n)
         )
     )
-    policy = {"global_ttl": "ttl = 1.5", "lru": "capacity = 8", "lower_bound": ""}[kind]
+    policy = {
+        "global_ttl": "ttl = 1.5",
+        "individual_ttl": "window = 1481.48",
+        "lru": "capacity = 8",
+        "lower_bound": "",
+    }[kind]
     overlay = "" if ads else "ad_catalog = 7\nad_exponent = 0.9\n"
     return n, _cfg(BASE_COSTS + f"""
 [policy]
@@ -538,7 +555,7 @@ def _event_checksum(requests):
 def test_trace_checksum_equals_a_per_event_fold(tmp_path, kind, ads):
     # the trace spans three blocks, so the fold crosses block boundaries
     _, cfg = _long_trace_config(tmp_path, kind, ads)
-    row = _run_single(cfg, 4)
+    [row] = _run_single(cfg, 4)
     requests = _requests(cfg, 4)
     assert row.requests == len(requests)
     assert row.trace_checksum == _event_checksum(requests)
@@ -547,7 +564,7 @@ def test_trace_checksum_equals_a_per_event_fold(tmp_path, kind, ads):
 def test_synthetic_trace_checksum_equals_a_per_event_fold():
     # about 24k arrivals: three draw blocks of 8192
     cfg = _cfg(SMALL_SYNTH.replace("lambda = 40.0", "lambda = 800.0"))
-    row = _run_single(cfg, 2)
+    [row] = _run_single(cfg, 2)
     requests = list(gen_synthetic(cfg.population_model(), 30.0, seed=2))
     assert len(requests) > 2 * 8192
     assert row.trace_checksum == _event_checksum(requests)
@@ -658,7 +675,7 @@ def test_run_rows_equal_the_engine_with_the_policy_class(policy):
             "known_rate": lambda: PerfectRatePolicy(cfg.costs, rate_of),
         }
         ledger = run(requests, policy_of[cfg.policy.kind](), cfg.costs, warmup=cfg.warmup)
-        row = _run_single(cfg, seed)
+        [row] = _run_single(cfg, seed)
         assert (row.requests, row.hits) == (ledger.requests, ledger.hits)
         assert row.cost_per_request == cost_per_request(ledger)
         assert (row.compute_d, row.storage_d, row.transmission_d) == (
@@ -709,6 +726,53 @@ def test_lambda_sweep_changes_the_trace():
     assert len(seed1) == 2
     assert seed1[0].trace_checksum != seed1[1].trace_checksum
     assert all(r.param_name == "lambda" for r in seed1)
+
+
+def _trace_sweeps(tmp_path):
+    """(config, axis, grid) of sweeps whose grid leaves the trace alone."""
+    synthetic = _cfg(SMALL_SYNTH.replace("warmup = 0.0", "warmup = 5.0"))
+    counts = load_config(CONFIGS / "trace_vod_ttl_sweep.ini")
+    _, overlaid = _long_trace_config(tmp_path, "individual_ttl", ads=False)
+    return [
+        (synthetic, "ttl", [0.0, 0.7, 60.0, math.inf]),
+        (counts, "ttl", [0.0, 240.0, math.inf]),
+        (overlaid, "window", [740.74, 2962.96, 5000.0]),
+    ]
+
+
+def test_grouped_sweep_rows_equal_one_task_per_point_and_seed(tmp_path):
+    # run_experiment makes one task per seed for its one point
+    for cfg, axis, grid in _trace_sweeps(tmp_path):
+        rows = sweep(cfg, axis, grid)
+        assert rows[-1].seed == "argmin"
+        per_point = [r for v in grid for r in run_experiment(override(cfg, "policy", axis, v))]
+        assert rows[:-1] == per_point
+
+
+@pytest.mark.parametrize(
+    "policy, axis, grid, builds_per_seed",
+    [
+        ("kind = global_ttl\nttl = 60.0", "ttl", [0.0, 60.0, 600.0], 1),
+        ("kind = individual_ttl\nwindow = 100.0", "window", [100.0, 1481.48, 3000.0], 1),
+        ("kind = lru\ncapacity = 4", "capacity", [2, 8, 32], 3),
+        ("kind = global_ttl\nttl = 60.0", "lambda", [20.0, 40.0, 80.0], 3),
+    ],
+    ids=["ttl", "window", "lru-capacity", "lambda"],
+)
+def test_sweep_builds_a_trace_per_seed_unless_points_cannot_share_it(
+    monkeypatch, policy, axis, grid, builds_per_seed
+):
+    seeds = []
+    build = experiments.build_trace
+
+    def counted(cfg, seed):
+        seeds.append(seed)
+        return build(cfg, seed)
+
+    monkeypatch.setattr(experiments, "build_trace", counted)
+    cfg = _cfg(SMALL_SYNTH.replace("kind = global_ttl\nttl = 60.0", policy))
+    sweep(cfg, axis, grid)
+    assert sorted(seeds) == sorted(cfg.seeds * builds_per_seed)
 
 
 @pytest.mark.parametrize(

@@ -298,6 +298,12 @@ def _synthesize(records, seed):
     return list(requests_of(synthesize_from_counts(records, seed)))
 
 
+def test_count_trace_record_stores_float_text_as_floats():
+    record = CountTraceRecord(1, "1.5", 3, "10")
+    assert record == CountTraceRecord(1, 1.5, 3, 10.0)
+    assert type(record.upload_time) is float and type(record.horizon) is float
+
+
 def test_zero_view_record_contributes_nothing():
     recs = [CountTraceRecord(movie=1, upload_time=0.0, total_views=0, horizon=100.0)]
     assert list(synthesize_from_counts(recs, seed=5)) == []
