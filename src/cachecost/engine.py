@@ -5,14 +5,15 @@ per request and turns verdicts into dollars, a recompute per miss, the
 flat transmission price per request, and storage billed for the exact
 hours each item spends resident. Residency intervals open when a verdict
 stores an item and close at the earliest of its deadline, its capacity
-eviction, or the final event of the trace. LRU is priced this way, and
-the policy classes plus `run` are the oracle for the columnar path.
+eviction, or the final event of the trace. The policy classes plus `run`
+are the oracle; every kind has one fast path whose ledger is `==` theirs.
 
-Every other policy decides a request from its item's own previous or next
-request. `by_item` sorts a columnar trace by item, a `*_verdicts`
+Every policy but LRU decides a request from its item's own previous or
+next request. `by_item` sorts a columnar trace by item, a `*_verdicts`
 function gives the policy's verdicts for all requests at once, and
-`run_length_ledger` prices them as residency runs. Its ledger is `==` the
-one `run` gives.
+`run_length_ledger` prices them as residency runs. LRU's evictions depend
+on every other item, so `lru_ledger` streams the blocks through one
+recency-ordered dict and bills each eviction as it happens.
 
 A warmup threshold makes the ledger count only requests at or after the
 threshold and only storage accrued from it onwards, while the cache state
@@ -22,12 +23,14 @@ is still built from the entire prefix.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import islice
 from typing import Hashable, Iterable, NamedTuple, Protocol
 
 import numpy as np
 
-from .analytic import CostModel, _check_real, _validate_ttl, keeps
+from .analytic import CostModel, _check_int, _check_real, _validate_ttl, keeps
 from .policies import PolicyVerdict, count_threshold
 from .workload import Columns
 
@@ -43,6 +46,7 @@ __all__ = [
     "individual_ttl_verdicts",
     "known_rate_verdicts",
     "lower_bound_verdicts",
+    "lru_ledger",
     "run",
     "run_length_ledger",
 ]
@@ -186,6 +190,78 @@ def run(
     return CostLedger.priced(requests, hits, item_hours, costs)
 
 
+def _check_times(times: np.ndarray, prev: float) -> None:
+    """Rejects a time below the one before it (`prev` before the first) or NaN."""
+    before = np.concatenate(([prev], times[:-1]))
+    bad = np.flatnonzero(~(times >= before))  # also catches NaN
+    if bad.size:
+        i = bad[0]
+        raise InvariantViolation(
+            f"trace time regression: {float(times[i])} after {float(before[i])}"
+        )
+
+
+def lru_ledger(
+    blocks: Iterable[Columns],
+    capacity: int,
+    costs: CostModel,
+    *,
+    warmup: float = 0.0,
+) -> CostLedger:
+    """The ledger `run` gives for `LruPolicy(capacity)`, streamed from the
+    blocks of a trace without joining them.
+
+    One `OrderedDict` holds the cache in recency order and maps each item
+    to the start of its billed residency: its miss time, or the warmup if
+    it missed before. A miss that overfills the cache evicts the least
+    recent item and bills it up to the miss. Items still resident at the
+    end are billed up to the last request in order of their start, which
+    is the engine's order, as miss times never decrease. So item-hours are
+    the engine's terms added in the engine's order.
+    """
+    capacity = _check_int("capacity", capacity, 1)
+    warmup = _check_warmup(warmup)
+    cache: "OrderedDict[tuple[int, int], float]" = OrderedDict()
+    move, evict = cache.move_to_end, cache.popitem
+    size = requests = hits = 0
+    item_hours = 0.0
+    last = -math.inf
+    for times, movies, ads in blocks:
+        if not times.size:
+            continue
+        _check_times(times, last)
+        last = float(times[-1])
+        cut = int(np.searchsorted(times, warmup))
+        requests += times.size - cut
+        items = zip(movies.tolist(), ads.tolist())
+        # Before the warmup only the cache state counts.
+        for item in islice(items, cut):
+            if item in cache:
+                move(item)
+            else:
+                cache[item] = warmup
+                if size < capacity:
+                    size += 1
+                else:
+                    evict(last=False)
+        # From the warmup on, a miss time is its own billed start, and an
+        # eviction at exactly the warmup adds 0.0 where the engine adds nothing.
+        for t, item in zip(times[cut:].tolist(), items):
+            if item in cache:
+                move(item)
+                hits += 1
+            else:
+                cache[item] = t
+                if size < capacity:
+                    size += 1
+                else:
+                    item_hours += t - evict(last=False)[1]
+    if last > warmup:
+        for start in sorted(cache.values()):
+            item_hours += last - start
+    return CostLedger.priced(requests, hits, item_hours, costs)
+
+
 class ItemOrder(NamedTuple):
     """A trace sorted stably by (movie, ad): each item's requests are
     consecutive and in time order. Built by `by_item`."""
@@ -209,13 +285,7 @@ def by_item(trace: Columns) -> ItemOrder:
     """Sort a time-ordered trace by item; rejects a time regression or NaN."""
     times = trace.times
     n = times.size
-    prev = np.concatenate(([-math.inf], times[:-1]))
-    bad = np.flatnonzero(~(times >= prev))  # also catches NaN
-    if bad.size:
-        i = bad[0]
-        raise InvariantViolation(
-            f"trace time regression: {float(times[i])} after {float(prev[i])}"
-        )
+    _check_times(times, -math.inf)
     key = _item_key(trace.movies, trace.ads)
     if key is None:
         order = np.lexsort((trace.ads, trace.movies))

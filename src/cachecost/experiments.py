@@ -49,7 +49,7 @@ from .engine import (
     individual_ttl_verdicts,
     known_rate_verdicts,
     lower_bound_verdicts,
-    run,
+    lru_ledger,
     run_length_ledger,
 )
 from .policies import LruPolicy, _check_window, count_threshold
@@ -63,7 +63,6 @@ from .workload import (
     overlay_ads,
     parse_count_trace,
     parse_request_trace,
-    requests_of,
     subsample_records,
     synthesize_from_counts,
 )
@@ -609,12 +608,14 @@ def _run_single(
 
     The points differ from cfg at most in the policy parameter, so they
     share its trace; by default cfg is the one point. The trace streams
-    through as blocks, each folded into the checksum as it passes. LRU
-    replays its requests through the event engine, so it takes one point.
-    Every other policy is priced from the blocks joined into columns: the
-    trace is sorted by item once, then point by point the policy's verdicts
-    come as arrays and `run_length_ledger` prices them. A ledger with a
-    non-finite dollar field is rejected; the first point that fails raises.
+    through as blocks, each folded into the checksum as it passes. Every
+    kind has one fast path, and the policy classes replayed by `run` are
+    its oracle. LRU streams the blocks through `lru_ledger` and takes one
+    point. Every other policy is priced from the blocks joined into
+    columns: the trace is sorted by item once, then point by point the
+    policy's verdicts come as arrays and `run_length_ledger` prices them.
+    A ledger with a non-finite dollar field is rejected; the first point
+    that fails raises.
     """
     if points is None:
         points = [(cfg, _policy_param(cfg))]
@@ -631,8 +632,7 @@ def _run_single(
     trace = checked(build_trace(cfg, seed))
     if cfg.policy.kind == "lru":
         [(point, _)] = points
-        policy = LruPolicy(point.policy.capacity)
-        ledgers = [run(requests_of(trace), policy, point.costs, warmup=point.warmup)]
+        ledgers = [lru_ledger(trace, point.policy.capacity, point.costs, warmup=point.warmup)]
     else:
         trace = columns_of(trace)
         items = by_item(trace)
@@ -782,7 +782,7 @@ def sweep(
         raise ConfigError("a lambda sweep requires a synthetic workload")
     points = [(override(cfg, section, key, v), (axis, v)) for v in _grid(section, key, grid)]
     # One task per seed when the axis leaves the trace alone and the kind
-    # prices from columns; LRU replays each point through the engine.
+    # prices from columns; LRU streams each point's trace on its own.
     shared = section == "policy" and cfg.policy.kind != "lru"
     rows = _run_points(points, jobs, shared=shared)
     means = (r for r in rows if r.seed == "mean")

@@ -6,9 +6,10 @@ until when the item should stay resident afterwards. Policies own their
 bookkeeping (deadlines, sliding windows, recency); the engine owns the
 dollars. Times are hours and must be nondecreasing per policy instance.
 
-Runs price LRU with `LruPolicy` and every other policy from the columnar
-verdicts in `engine`; these classes, replayed by `engine.run`, are the
-oracle those verdicts are tested against.
+Runs price every policy through one fast path in `engine`: LRU through
+`lru_ledger`, every other policy through its columnar verdicts. These
+classes, replayed by `engine.run`, are the oracle each path is tested
+against.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from cachecost.engine import (
     cost_per_request,
     global_ttl_verdicts,
     lower_bound_verdicts,
+    lru_ledger,
     run,
     run_length_ledger,
 )
@@ -288,17 +289,26 @@ LRU_BATTERY = {
 }
 
 
+def _kernel_ttl(items, ttl: float, warmup: float):
+    """A shared lifetime priced as a run is: verdicts as arrays, then the
+    run-length kernel."""
+    return run_length_ledger(items, global_ttl_verdicts(items, ttl), COSTS, warmup=warmup)
+
+
 def test_lru_and_ttl_sweeps_agree_on_minimum_cost(capsys):
+    """Priced through the shipped kernels; `test_lru_battery_kernels_equal_the_engine`
+    holds them to the engine on every battery row."""
     gaps = {}
     for lam, (duration, warmup, ttls, capacities) in LRU_BATTERY.items():
         ttl_costs = {t: [] for t in ttls}
         cap_costs = {c: [] for c in capacities}
         for seed in SEEDS:
-            trace = _materialize(lam, duration, seed)
+            blocks = list(_synthetic_blocks(default_population(lam), duration, seed))
+            items = by_item(columns_of(blocks))
             for t in ttls:
-                ttl_costs[t].append(_mean_cost(trace, GlobalTtlPolicy(t), warmup))
+                ttl_costs[t].append(cost_per_request(_kernel_ttl(items, t, warmup)))
             for c in capacities:
-                cap_costs[c].append(_mean_cost(trace, LruPolicy(c), warmup))
+                cap_costs[c].append(cost_per_request(lru_ledger(blocks, c, COSTS, warmup=warmup)))
         best_ttl = min(fmean(v) for v in ttl_costs.values())
         best_cap = min(fmean(v) for v in cap_costs.values())
         gaps[lam] = abs(best_cap - best_ttl) / best_ttl
@@ -310,6 +320,23 @@ def test_lru_and_ttl_sweeps_agree_on_minimum_cost(capsys):
         "min-cost gaps "
         + ", ".join(f"{lam:.0f}/h: {g:.3%}" for lam, g in gaps.items())
         + " (tol 3%)",
+    )
+
+
+@pytest.mark.parametrize("lam", list(LRU_BATTERY))
+def test_lru_battery_kernels_equal_the_engine(lam):
+    """On a full-size trace of each battery row, the smallest and largest
+    capacity and the longest lifetime give the engine's ledger exactly."""
+    duration, warmup, ttls, capacities = LRU_BATTERY[lam]
+    blocks = list(_synthetic_blocks(default_population(lam), duration, SEEDS[0]))
+    trace = list(requests_of(blocks))
+    for c in (capacities[0], capacities[-1]):
+        assert lru_ledger(blocks, c, COSTS, warmup=warmup) == run(
+            trace, LruPolicy(c), COSTS, warmup=warmup
+        ), c
+    items = by_item(columns_of(blocks))
+    assert _kernel_ttl(items, ttls[-1], warmup) == run(
+        trace, GlobalTtlPolicy(ttls[-1]), COSTS, warmup=warmup
     )
 
 

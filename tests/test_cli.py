@@ -269,7 +269,7 @@ def test_id_past_int64_exits_with_trace_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("policy", ["kind = global_ttl\nttl = 60.0", "kind = lru\ncapacity = 2"])
 def test_warmup_past_the_last_request_is_config_error(tmp_path, capsys, policy):
-    # global_ttl is priced from columns, lru by the event engine
+    # global_ttl is priced from sorted columns, lru streamed block by block
     trace = tmp_path / "t.csv"
     trace.write_text("0.0,1,1\n1.5,2,1\n")
     cfg = tmp_path / "t.ini"

@@ -1,6 +1,7 @@
 """Ledger accounting checks, including an independent gap-replay oracle."""
 
 import math
+import re
 import struct
 import zlib
 
@@ -20,6 +21,7 @@ from cachecost.engine import (
     individual_ttl_verdicts,
     known_rate_verdicts,
     lower_bound_verdicts,
+    lru_ledger,
     run,
     run_length_ledger,
 )
@@ -580,3 +582,66 @@ def test_kernel_equals_the_engine_on_synthetic_traces():
         for warmup in (0.0, 50.0, 149.0):
             want = run(reqs, policy(), COSTS, warmup=warmup)
             assert run_length_ledger(items, verdicts, COSTS, warmup=warmup) == want
+
+
+# --- the streamed LRU kernel against the engine ---------------------------------
+
+
+def _cut(reqs, cuts):
+    """`(time, (movie, ad))` pairs as `Columns` blocks split at the sorted
+    indices `cuts`; a repeated cut or one at either end leaves a block empty."""
+    whole = columns_of(_blocks(reqs))
+    bounds = [0, *cuts, len(reqs)]
+    return [Columns(*(a[lo:hi] for a in whole)) for lo, hi in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_kernel_cases(), st.data())
+def test_lru_ledger_equals_the_engine(case, data):
+    reqs, warmup = case
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(reqs)), max_size=4)))
+    distinct = len({item for _, item in reqs})
+    # 1, anything up to past the 6 items, and exactly the distinct count
+    capacity = data.draw(
+        st.one_of(st.just(1), st.integers(1, len(ITEMS) + 2), st.just(max(distinct, 1)))
+    )
+    want = run(reqs, LruPolicy(capacity), HALF_RATE, warmup=warmup)
+    assert lru_ledger(_cut(reqs, cuts), capacity, HALF_RATE, warmup=warmup) == want
+
+
+def test_lru_ledger_equals_the_engine_on_synthetic_traces():
+    pm = PopulationModel(ZipfLaw(200, 0.8), ZipfLaw(10, 0.9), 150.0)
+    reqs = list(gen_synthetic(pm, 150.0, seed=7))
+    blocks = _blocks(reqs)
+    assert len(blocks) > 1
+    for capacity in (1, 30, 400, 10**9):
+        for warmup in (0.0, 50.0, 149.0):
+            want = run(reqs, LruPolicy(capacity), COSTS, warmup=warmup)
+            assert lru_ledger(blocks, capacity, COSTS, warmup=warmup) == want
+
+
+@pytest.mark.parametrize(
+    "reqs, cuts",
+    [
+        (((1.0, A), (0.5, A)), [1]),
+        (((1.0, A), (2.0, B), (1.5, A)), [2, 2]),
+        (((1.0, A), (math.nan, B), (0.5, A)), [1]),
+        (((1.0, A), (math.nan, B), (0.5, A)), []),
+        (((math.nan, A),), [0]),
+    ],
+    ids=["at-cut", "after-empty-block", "nan-at-cut", "nan-in-block", "nan-first"],
+)
+def test_lru_ledger_rejects_regression_as_the_engine_does(reqs, cuts):
+    reqs = list(reqs)
+    with pytest.raises(InvariantViolation, match="regression") as want:
+        run(reqs, LruPolicy(2), COSTS)
+    with pytest.raises(InvariantViolation, match=re.escape(str(want.value))):
+        lru_ledger(_cut(reqs, cuts), 2, COSTS)
+
+
+@pytest.mark.parametrize("capacity", [0, -3, True, 2.0])
+def test_lru_ledger_rejects_capacity_as_the_policy_does(capacity):
+    with pytest.raises(ValueError) as want:
+        LruPolicy(capacity)
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        lru_ledger(_cut([(0.0, A)], []), capacity, COSTS)

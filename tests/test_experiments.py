@@ -40,6 +40,7 @@ from cachecost.policies import (
     GlobalTtlPolicy,
     IndividualTtlPolicy,
     LowerBoundPolicy,
+    LruPolicy,
     PerfectRatePolicy,
     next_request_times,
 )
@@ -654,10 +655,11 @@ def test_lower_bound_experiment_runs():
         "kind = individual_ttl\nwindow = 30.0",
         "kind = lower_bound",
         "kind = known_rate",
+        "kind = lru\ncapacity = 3",
     ],
 )
 def test_run_rows_equal_the_engine_with_the_policy_class(policy):
-    """A run prices every kind but LRU from columns; its rows must be the
+    """A run prices every kind through its fast path; its rows must be the
     ones the event engine gives with that kind's policy class."""
     cfg = _cfg(SMALL_SYNTH.replace("kind = global_ttl\nttl = 60.0", policy)
                .replace("warmup = 0.0", "warmup = 5.0"))
@@ -673,6 +675,7 @@ def test_run_rows_equal_the_engine_with_the_policy_class(policy):
             "individual_ttl": lambda: IndividualTtlPolicy(cfg.policy.window, cfg.costs),
             "lower_bound": lambda: LowerBoundPolicy(cfg.costs, next_request_times(requests)),
             "known_rate": lambda: PerfectRatePolicy(cfg.costs, rate_of),
+            "lru": lambda: LruPolicy(cfg.policy.capacity),
         }
         ledger = run(requests, policy_of[cfg.policy.kind](), cfg.costs, warmup=cfg.warmup)
         [row] = _run_single(cfg, seed)
