@@ -114,12 +114,22 @@ def harmonic(n: int, s: float) -> float:
     return float(np.cumsum(np.arange(n, 0, -1, dtype=np.float64) ** -s)[-1])
 
 
+_CHUNK = 1 << 15  # uniforms per guide-table pass in `ZipfLaw._ranks`
+
+
 @dataclass(frozen=True)
 class ZipfLaw:
     """Zipf popularity over ranks 1..n with exponent s >= 0.
 
     Rank 1 is the most popular; s = 0 degenerates to the uniform law.
     Derived arrays are cached on first use and shared by the samplers.
+
+    `sample` inverts the cdf: a uniform u in [0, 1) draws the rank i + 1,
+    where i counts the cdf entries <= u. It finds that count through a
+    guide table (Chen & Asau's indexed search; Devroye 1986, section
+    III.2.4): K buckets of width 1/K, each holding the range of counts its
+    u can have, then a binary search over the widest bucket's range. The
+    ranks are exactly those of `np.searchsorted(cumulative, u, "right") + 1`.
     """
 
     n: int
@@ -146,16 +156,51 @@ class ZipfLaw:
 
     @cached_property
     def cumulative(self) -> np.ndarray:
-        """Inclusive cdf over ranks; last entry is forced to exactly 1."""
+        """Inclusive cdf over ranks, nondecreasing; last entry is exactly 1."""
         cdf = np.cumsum(self.probabilities)
+        # the sum can round past 1 before its last entry
+        np.minimum(cdf, 1.0, out=cdf)
         cdf[-1] = 1.0
         cdf.setflags(write=False)
         return cdf
 
+    @cached_property
+    def _guide(self) -> "tuple[int, np.ndarray, np.ndarray, list]":
+        """(K, lo, padded cdf, search steps) for `_ranks`.
+
+        K is a power of two near 4n, at most 2**16, so u * K is exact and
+        u in [j/K, (j+1)/K) has its count in [lo[j], lo[j + 1]]. The search
+        takes as many steps as the widest bucket needs: 1 or 2 at the preset
+        catalogs, more for a heavy tail that crowds many ranks into the last
+        buckets. The cdf is padded with ones, which no u < 1 reaches, so a
+        search step may read past the end of a bucket.
+        """
+        n, cdf = self.n, self.cumulative
+        k = min(1 << 16, 1 << (4 * n - 1).bit_length())
+        lo = np.searchsorted(cdf, np.arange(k + 1) / k, side="right")
+        lo[-1] = n - 1  # a count for u < 1 stops at n - 1
+        bits = int(np.diff(lo).max()).bit_length()
+        padded = np.concatenate((cdf, np.ones(1 << bits)))
+        steps = [np.int32(1 << b) for b in reversed(range(bits))]
+        return k, lo.astype(np.int32), padded, steps
+
+    def _ranks(self, u: np.ndarray) -> np.ndarray:
+        """Ranks drawn by the uniforms u in [0, 1); int64 array like u."""
+        k, lo, padded, steps = self._guide
+        ranks = np.empty(u.size, dtype=np.int64)
+        # fixed chunks keep the int32 temporaries small and in cache
+        for start in range(0, u.size, _CHUNK):
+            part = u[start : start + _CHUNK]
+            count = lo.take((part * k).astype(np.int32))
+            for step in steps:
+                count += (padded.take(count + (step - 1)) <= part) * step
+            ranks[start : start + _CHUNK] = count
+        ranks += 1
+        return ranks
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ranks by inverse cdf; int64 array of shape (size,)."""
-        u = rng.random(size)
-        return np.searchsorted(self.cumulative, u, side="right").astype(np.int64) + 1
+        return self._ranks(rng.random(size))
 
 
 @dataclass(frozen=True)

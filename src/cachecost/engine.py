@@ -294,23 +294,33 @@ def by_item(trace: Columns) -> ItemOrder:
             ids = ids[order]
             same &= ids[1:] == ids[:-1]
     else:
-        order = np.argsort(key, kind="stable")
+        order = np.argsort(key)
         key = key[order]
+        key //= n
         same = key[1:] == key[:-1]
     return ItemOrder(order, times[order], same, float(times[-1]) if n else 0.0)
 
 
 def _item_key(movies: np.ndarray, ads: np.ndarray) -> "np.ndarray | None":
-    """One int64 per request that orders as its (movie, ad) pair does, or
-    None when the trace is empty or its ids span too wide for such a key
-    to fit in int64."""
-    if movies.size == 0:
+    """One distinct int64 per request, item * n + index, where item orders
+    as the (movie, ad) pair does and n is the trace length; or None when
+    the trace is empty or such keys do not fit in int64.
+
+    The keys are unique, so any sort of them gives the stable order by
+    item, and key // n is the item again.
+    """
+    n = movies.size
+    if n == 0:
         return None
     low_movie, low_ad = int(movies.min()), int(ads.min())
     span = int(ads.max()) - low_ad + 1
-    if (int(movies.max()) - low_movie + 1) * span > 2**63:
+    if (int(movies.max()) - low_movie + 1) * span * n > 2**63:
         return None
-    return (movies - low_movie) * span + (ads - low_ad)
+    key = (movies - low_movie) * span
+    key += ads - low_ad
+    key *= n
+    key += np.arange(n)
+    return key
 
 
 def _after(same: np.ndarray, flags: np.ndarray) -> np.ndarray:

@@ -1,9 +1,12 @@
 """Closed-form evaluators against hand values and independent oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cachecost.analytic import (
     CostModel,
@@ -160,6 +163,55 @@ def test_zipf_sampling_prefers_low_ranks():
     draws = law.sample(np.random.default_rng(3), 50_000)
     top = np.mean(draws == 1)
     assert top == pytest.approx(law.probabilities[0], rel=0.1)
+
+
+@pytest.mark.parametrize("n,s", [(100_000, 3.0), (10**6, 2.5)])
+def test_zipf_cdf_is_sorted_and_draws_as_the_unclipped_cdf(n, s):
+    # the running sum rounds past 1 before its last entry at these laws
+    law = ZipfLaw(n, s)
+    assert np.all(np.diff(law.cumulative) >= 0.0)
+    assert law.cumulative[-1] == 1.0
+    unclipped = np.cumsum(law.probabilities)
+    assert np.any(unclipped[:-1] > 1.0)
+    unclipped[-1] = 1.0
+    u = np.random.default_rng(5).random(200_000)
+    want = np.searchsorted(unclipped, u, side="right") + 1
+    assert np.array_equal(law.sample(np.random.default_rng(5), u.size), want)
+
+
+def _edge_uniforms(cdf: np.ndarray) -> np.ndarray:
+    """Every cdf entry and its neighbours, every bucket edge j / 2**16 (a
+    multiple of every guide table's 1/K), 0 and the largest double below 1."""
+    near = np.concatenate((cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0)))
+    u = np.concatenate((near, np.arange(2**16) / 2**16, [0.0, np.nextafter(1.0, 0.0)]))
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 200_000), st.floats(0.0, 3.0), st.integers(0, 2**32))
+@example(10_000, 0.8, 0)
+@example(5_000, 0.94, 0)
+@example(1, 0.0, 0)
+@example(200_000, 3.0, 0)
+def test_zipf_ranks_equal_the_inverse_cdf_search(n, s, seed):
+    law = ZipfLaw(n, s)
+    u = np.concatenate((_edge_uniforms(law.cumulative), np.random.default_rng(seed).random(5_000)))
+    ranks = law._ranks(u)
+    assert ranks.dtype == np.int64
+    assert np.array_equal(ranks, np.searchsorted(law.cumulative, u, side="right") + 1)
+
+
+def test_zipf_sampling_memory_is_bounded():
+    # 1.5x the 22.9 MiB peak of sampling by one searchsorted over all the
+    # draws; the uniforms and the int64 ranks alone take 15.3 MiB
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        ZipfLaw(10_000, 0.8).sample(np.random.default_rng(1), 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 22.9 * 2**20
 
 
 # --- population model -------------------------------------------------------

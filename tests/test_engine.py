@@ -330,19 +330,27 @@ def test_nan_or_regressing_time_is_rejected(price, pairs):
 # --- the sort by item -----------------------------------------------------------
 
 
-def _lexsort_check(movies, ads):
-    """`by_item`'s order and same-item flags equal those of a stable lexsort."""
+def _lexsort_check(movies, ads, times=None):
+    """`by_item`'s order and same-item flags equal those of a stable lexsort;
+    returns whether it sorted by the unique int64 key, not by lexsort."""
+    n = len(movies)
     trace = Columns(
-        np.arange(len(movies), dtype=np.float64),
+        np.arange(n, dtype=np.float64) if times is None else np.array(times, dtype=np.float64),
         np.array(movies, dtype=np.int64),
         np.array(ads, dtype=np.int64),
     )
     items = by_item(trace)
     want = np.lexsort((trace.ads, trace.movies))
     assert items.order.tolist() == want.tolist()
+    assert items.times.tolist() == trace.times[want].tolist()
     pairs = list(zip(trace.movies[want].tolist(), trace.ads[want].tolist()))
     assert items.same.tolist() == [a == b for a, b in zip(pairs, pairs[1:])]
-    return _item_key(trace.movies, trace.ads) is not None
+    keyed = bool(n) and (max(movies) - min(movies) + 1) * (max(ads) - min(ads) + 1) * n <= 2**63
+    key = _item_key(trace.movies, trace.ads)
+    assert (key is not None) == keyed
+    if keyed:
+        assert np.unique(key).size == n
+    return keyed
 
 
 BIG = 2**63 - 1
@@ -353,14 +361,16 @@ BIG = 2**63 - 1
     [
         # ties on both ids, ad -1 beside drawn ads, movies out of order
         ([5, 2, 5, 2, 2, 5, 9, 2, 5], [-1, 3, -1, -1, 3, 7, -1, 3, -1], True),
-        # 2 movies x 2**62 ads: the largest key is 2**63 - 1
-        ([2, 1, 2, 1], [1, 2**62, 2**62, 1], True),
+        # 2 movies x 2**60 ads x 4 requests: the largest key is 2**63 - 1
+        ([2, 1, 2, 1], [1, 2**60, 2**60, 1], True),
         # one ad more and the keys pass the int64 limit
-        ([2, 1, 2, 1], [1, 2**62 + 1, 2**62 + 1, 1], False),
+        ([2, 1, 2, 1], [1, 2**60 + 1, 2**60 + 1, 1], False),
         ([BIG, 1, BIG, 1, 1], [-1, BIG, -1, -1, BIG], False),
         ([], [], False),
+        # the items alone fit in int64, but not times the trace length
+        ([2**31, 1, 2**31, 1], [1, 2**31, 1, 2**31], False),
     ],
-    ids=["ties", "at-limit", "past-limit", "largest-ids", "empty"],
+    ids=["ties", "at-limit", "past-limit", "largest-ids", "empty", "past-limit-by-length"],
 )
 def test_by_item_orders_as_lexsort(movies, ads, keyed):
     assert _lexsort_check(movies, ads) == keyed
@@ -373,6 +383,25 @@ _IDS = st.sampled_from([1, 2, 3, 2**31, 2**62, BIG])
 @given(st.lists(st.tuples(_IDS, st.one_of(st.just(-1), _IDS)), max_size=40))
 def test_by_item_orders_as_lexsort_on_any_ids(pairs):
     _lexsort_check([m for m, _ in pairs], [a for _, a in pairs])
+
+
+@st.composite
+def _tied_traces(draw):
+    """Few items, many requests per item and runs of equal times; the ids
+    sit near 1 or near 2**63 - 1, so both sort paths are drawn."""
+    low = draw(st.sampled_from([0, BIG - 8]))
+    ids = st.integers(low, low + draw(st.sampled_from([1, 3, 8])))
+    n = draw(st.integers(0, 60))
+    movies = draw(st.lists(ids, min_size=n, max_size=n))
+    ads = draw(st.lists(st.one_of(st.just(-1), ids), min_size=n, max_size=n))
+    gaps = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5]), min_size=n, max_size=n))
+    return movies, ads, np.cumsum(gaps).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_traces())
+def test_by_item_orders_as_lexsort_on_tied_traces(trace):
+    _lexsort_check(*trace)
 
 
 # --- columnar global TTL against the engine as oracle --------------------------

@@ -52,6 +52,19 @@ def test_golden_csv_regenerates_identically(name, tmp_path):
     assert regenerated == (GOLDEN / name).read_bytes()
 
 
+def test_full_size_synthetic_stream_is_pinned(tmp_path):
+    # the smoke goldens draw 40 movies x 5 ads; this pins the draws, the
+    # item sort and the checksum at the full 10,000 x 5,000 catalog
+    out = tmp_path / "seed1.csv"
+    argv = ["run", "--config", str(CONFIGS / "validate_global_ttl.ini"), "--seed", "1"]
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    with open(out, newline="", encoding="utf-8") as handle:
+        row = next(csv.DictReader(handle))
+    assert (row["seed"], row["requests"], row["hits"], row["trace_checksum"]) == (
+        "1", "310551", "22317", "09d2f362",
+    )
+
+
 def _rows(name):
     with open(GOLDEN / name, newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
