@@ -35,13 +35,15 @@ __all__ = [
 ]
 
 
-def _check_int(name: str, value: int, low: int) -> int:
-    """`value` as a plain int: an integer (not a bool) of at least `low`."""
+def _check_int(name: str, value: int, low: int, high: "int | None" = None) -> int:
+    """`value` as a plain int: an integer (not a bool), >= `low` and <= `high` if given."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")
     return value
 
 
@@ -142,15 +144,10 @@ class ZipfLaw:
         object.__setattr__(self, "s", s)
 
     @cached_property
-    def h(self) -> float:
-        """Normalizing constant: harmonic(n, s)."""
-        return harmonic(self.n, self.s)
-
-    @cached_property
     def probabilities(self) -> np.ndarray:
         """pmf over ranks 1..n as a read-only float array."""
         weights = np.arange(1, self.n + 1, dtype=np.float64) ** -self.s
-        pmf = weights / self.h
+        pmf = weights / harmonic(self.n, self.s)
         pmf.setflags(write=False)
         return pmf
 
@@ -226,6 +223,11 @@ class PopulationModel:
         return self.lambda_global * p
 
 
+# Most items of one Monte Carlo draw. A draw and the per-item costs priced
+# from it peak at about 40 bytes per item, so about 4 GB at this limit.
+MAX_MC_SAMPLES = 10**8
+
+
 @dataclass(frozen=True)
 class MonteCarloSpec:
     """Sample count and seed for the population-average estimators."""
@@ -234,7 +236,7 @@ class MonteCarloSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", _check_int("samples", self.samples, 1))
+        object.__setattr__(self, "samples", _check_int("samples", self.samples, 1, MAX_MC_SAMPLES))
         object.__setattr__(self, "seed", _check_int("seed", self.seed, 0))
 
 
@@ -247,19 +249,56 @@ def expected_item_cost(rate: float, ttl: float, costs: CostModel) -> float:
     costs exactly one recompute per request.
     """
     rate = _check_real("rate", rate, 0, above=True)
-    return float(_expected_cost_array(rate, _validate_ttl(ttl), costs))
+    return float(_ttl_item_costs(rate, _validate_ttl(ttl), costs))
 
 
-def _expected_cost_array(rates: np.ndarray, ttl: float, costs: CostModel) -> np.ndarray:
+# Per-item closed forms: the storage-plus-compute cost per request of items
+# of the given Poisson rates. An overflow is already the right limit (e^-inf
+# is 0, a cost past the float range is inf), so its warning is silenced.
+
+
+def _ttl_item_costs(rates: np.ndarray, ttl: float, costs: CostModel) -> np.ndarray:
+    """Cost of each item kept `ttl` hours after each of its requests."""
     s, c = costs.storage_per_item_hour, costs.compute_per_item
     if ttl == 0.0:
         return np.full_like(rates, c)
-    if math.isinf(ttl):
-        return s / rates
-    # (s/rate) * (1 - e^{-rate*ttl}) + c * e^{-rate*ttl}; expm1 keeps the
-    # first term accurate when rate*ttl underflows toward 0.
-    x = rates * ttl
-    return (s / rates) * -np.expm1(-x) + c * np.exp(-x)
+    with np.errstate(over="ignore"):
+        if math.isinf(ttl):
+            return s / rates
+        # (s/rate) * (1 - e^{-rate*ttl}) + c * e^{-rate*ttl}; expm1 keeps
+        # the first term accurate when rate*ttl underflows toward 0.
+        x = rates * ttl
+        return (s / rates) * -np.expm1(-x) + c * np.exp(-x)
+
+
+def _ideal_item_costs(rates: np.ndarray, costs: CostModel) -> np.ndarray:
+    """Cost of each item under its ideal TTL for a known rate: kept forever
+    when its rate strictly clears the break-even rate, else never stored."""
+    s, c = costs.storage_per_item_hour, costs.compute_per_item
+    with np.errstate(over="ignore"):
+        return np.where(keeps(rates, costs), s / rates, c)
+
+
+def _floor_item_costs(rates: np.ndarray, costs: CostModel) -> np.ndarray:
+    """Cost of each item under the clairvoyant per-gap rule: knowing each
+    upcoming gap, pay the cheaper of bridging it in storage or recomputing
+    at its end, E[min(gap * S, C)] = (S/r) * (1 - e^{-C*r/S})."""
+    s, c = costs.storage_per_item_hour, costs.compute_per_item
+    with np.errstate(over="ignore"):
+        return (s / rates) * -np.expm1(-(c / s) * rates)
+
+
+def _mean_cost(per_item: np.ndarray, costs: CostModel) -> float:
+    """Cost per request: the mean per-item cost over the draw plus transmission."""
+    return float(np.mean(per_item)) + costs.transmission_per_item
+
+
+def _argmin_ttl(ttls: list, curve: list) -> tuple[float, float]:
+    """(ttl, cost) of the lowest cost on a shared-TTL curve, NaN costs left
+    out; cost ties resolve to the smaller TTL."""
+    priced = ((c, t) for c, t in zip(curve, ttls) if not math.isnan(c))
+    cost, ttl = min(priced, default=(math.inf, None))
+    return ttl, cost
 
 
 def keeps(rate, costs: CostModel):
@@ -283,8 +322,8 @@ def sample_item_rates(population: PopulationModel, mc: MonteCarloSpec) -> np.nda
     """Per-item request rates of `mc.samples` items drawn from the population.
 
     Items are drawn by inverse cdf on each axis from one seeded generator,
-    so a given spec always yields the same sample set. Reusing one spec
-    across several evaluators prices every policy on identical draws.
+    so a given spec always yields the same sample set. Reusing one draw
+    across several closed forms prices every policy on identical items.
     """
     rng = np.random.default_rng(mc.seed)
     movies = population.movies.sample(rng, mc.samples)
@@ -297,38 +336,17 @@ def global_ttl_cost(
 ) -> float:
     """Expected cost per request when every item shares one TTL."""
     ttl = _validate_ttl(ttl)
-    rates = sample_item_rates(population, mc)
-    mean = float(np.mean(_expected_cost_array(rates, ttl, costs)))
-    return mean + costs.transmission_per_item
+    return _mean_cost(_ttl_item_costs(sample_item_rates(population, mc), ttl, costs), costs)
 
 
-def individual_ttl_cost(
-    population: PopulationModel, costs: CostModel, mc: MonteCarloSpec
-) -> float:
-    """Expected cost per request when each item gets its ideal TTL.
-
-    With a known per-item rate the ideal TTL is degenerate: keep forever
-    when the rate strictly clears the break-even rate, otherwise never store.
-    """
-    rates = sample_item_rates(population, mc)
-    s, c = costs.storage_per_item_hour, costs.compute_per_item
-    per_item = np.where(keeps(rates, costs), s / rates, c)
-    return float(np.mean(per_item)) + costs.transmission_per_item
+def individual_ttl_cost(population: PopulationModel, costs: CostModel, mc: MonteCarloSpec) -> float:
+    """Expected cost per request when each item gets its ideal TTL for a known rate."""
+    return _mean_cost(_ideal_item_costs(sample_item_rates(population, mc), costs), costs)
 
 
-def lower_bound_cost(
-    population: PopulationModel, costs: CostModel, mc: MonteCarloSpec
-) -> float:
-    """Expected cost per request of the clairvoyant per-gap rule.
-
-    Knowing each upcoming gap, pay the cheaper of bridging it in storage
-    or recomputing at its end: E[min(gap * S, C)] per request, which for a
-    Poisson item of rate r integrates to (S/r) * (1 - e^{-C*r/S}).
-    """
-    rates = sample_item_rates(population, mc)
-    s, c = costs.storage_per_item_hour, costs.compute_per_item
-    per_item = (s / rates) * -np.expm1(-(c / s) * rates)
-    return float(np.mean(per_item)) + costs.transmission_per_item
+def lower_bound_cost(population: PopulationModel, costs: CostModel, mc: MonteCarloSpec) -> float:
+    """Expected cost per request of the clairvoyant per-gap rule."""
+    return _mean_cost(_floor_item_costs(sample_item_rates(population, mc), costs), costs)
 
 
 def optimal_global_ttl(
@@ -347,11 +365,4 @@ def optimal_global_ttl(
     if not ttls:
         raise ValueError("ttl grid must not be empty")
     rates = sample_item_rates(population, mc)
-    x = costs.transmission_per_item
-    best_ttl = None
-    best_cost = math.inf
-    for ttl in ttls:
-        cost = float(np.mean(_expected_cost_array(rates, ttl, costs))) + x
-        if cost < best_cost or (cost == best_cost and ttl < best_ttl):
-            best_ttl, best_cost = ttl, cost
-    return best_ttl, best_cost
+    return _argmin_ttl(ttls, [_mean_cost(_ttl_item_costs(rates, t, costs), costs) for t in ttls])

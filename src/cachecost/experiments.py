@@ -27,16 +27,18 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import analytic
 from .analytic import (
     CostModel,
     MonteCarloSpec,
     PopulationModel,
     ZipfLaw,
+    _argmin_ttl,
+    _floor_item_costs,
+    _ideal_item_costs,
+    _mean_cost,
+    _ttl_item_costs,
     _validate_ttl,
-    global_ttl_cost,
-    individual_ttl_cost,
-    lower_bound_cost,
-    optimal_global_ttl,
 )
 from .engine import (
     CostLedger,
@@ -71,7 +73,6 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "PolicySpec",
-    "PopulationSpec",
     "ResultRow",
     "WorkloadSpec",
     "CSV_COLUMNS",
@@ -110,15 +111,6 @@ CSV_COLUMNS = (
 
 
 @dataclass(frozen=True)
-class PopulationSpec:
-    movies: int
-    movie_exponent: float
-    ads: int
-    ad_exponent: float
-    lambda_global: float
-
-
-@dataclass(frozen=True)
 class PolicySpec:
     kind: str
     ttl: "float | None" = None
@@ -131,8 +123,7 @@ class WorkloadSpec:
     source: str
     duration: "float | None" = None
     path: "str | None" = None
-    ad_catalog: "int | None" = None
-    ad_exponent: "float | None" = None
+    ads: "ZipfLaw | None" = None  # the ad overlay's popularity law
     subsample: "float | None" = None
 
 
@@ -141,24 +132,10 @@ class ExperimentConfig:
     costs: CostModel
     policy: PolicySpec
     workload: WorkloadSpec
-    population: "PopulationSpec | None"
+    population: "PopulationModel | None"
     seeds: tuple[int, ...]
     warmup: float
-    mc_samples: int
-    mc_seed: int
-
-    def population_model(self) -> PopulationModel:
-        if self.population is None:
-            raise ConfigError("this configuration has no population section")
-        p = self.population
-        return PopulationModel(
-            movies=ZipfLaw(p.movies, p.movie_exponent),
-            ads=ZipfLaw(p.ads, p.ad_exponent),
-            lambda_global=p.lambda_global,
-        )
-
-    def monte_carlo(self) -> MonteCarloSpec:
-        return MonteCarloSpec(samples=self.mc_samples, seed=self.mc_seed)
+    mc: MonteCarloSpec
 
 
 # --- the config keys -------------------------------------------------------
@@ -240,8 +217,8 @@ def _subsample(fraction) -> None:
 
 class _Key(NamedTuple):
     """One `[section] key`: its type, its range rule, the policy kinds or
-    workload sources it applies to (all when empty), its default and the
-    spec field it fills (the key's own name unless given)."""
+    workload sources it applies to (all when empty), its default and its
+    value's attribute path in an ExperimentConfig (`section.key` unless given)."""
 
     section: str
     key: str
@@ -256,11 +233,11 @@ _SYNTHETIC = ("synthetic",)
 _TRACES = ("request_trace", "count_trace")
 
 _KEYS = (
-    _Key("population", "movies", _int, _catalog),
-    _Key("population", "movie_exponent", _float, _exponent),
-    _Key("population", "ads", _int, _catalog),
-    _Key("population", "ad_exponent", _float, _exponent),
-    _Key("population", "lambda", _float, _lambda, field="lambda_global"),
+    _Key("population", "movies", _int, _catalog, field="population.movies.n"),
+    _Key("population", "movie_exponent", _float, _exponent, field="population.movies.s"),
+    _Key("population", "ads", _int, _catalog, field="population.ads.n"),
+    _Key("population", "ad_exponent", _float, _exponent, field="population.ads.s"),
+    _Key("population", "lambda", _float, _lambda, field="population.lambda_global"),
     _Key("costs", "storage_per_item_hour", _float),
     _Key("costs", "compute_per_item", _float),
     _Key("costs", "transmission_per_item", _float),
@@ -271,21 +248,18 @@ _KEYS = (
     _Key("workload", "source", _text, _one_of(WORKLOAD_SOURCES)),
     _Key("workload", "duration", _float, _check_duration, _SYNTHETIC),
     _Key("workload", "path", _text, None, _TRACES),
-    _Key("workload", "ad_catalog", _int, _catalog, _TRACES, None),
-    _Key("workload", "ad_exponent", _float, _exponent, _TRACES, None),
+    _Key("workload", "ad_catalog", _int, _catalog, _TRACES, None, "workload.ads.n"),
+    _Key("workload", "ad_exponent", _float, _exponent, _TRACES, None, "workload.ads.s"),
     _Key("workload", "subsample", _float, _subsample, ("count_trace",), None),
-    _Key("run", "seeds", _seeds, _seed_list, default=DEFAULT_SEEDS),
-    _Key("run", "warmup", _float, _check_warmup, default=0.0),
+    _Key("run", "seeds", _seeds, _seed_list, default=DEFAULT_SEEDS, field="seeds"),
+    _Key("run", "warmup", _float, _check_warmup, default=0.0, field="warmup"),
     _Key("monte_carlo", "samples", _int, lambda n: MonteCarloSpec(n, 0),
-         default=DEFAULT_MC_SAMPLES, field="mc_samples"),
-    _Key("monte_carlo", "seed", _int, _seed, default=0, field="mc_seed"),
+         default=DEFAULT_MC_SAMPLES, field="mc.samples"),
+    _Key("monte_carlo", "seed", _int, _seed, default=0, field="mc.seed"),
 )
-_KEYS = tuple(row._replace(field=row.field or row.key) for row in _KEYS)
+_KEYS = tuple(row._replace(field=row.field or f"{row.section}.{row.key}") for row in _KEYS)
 _ROWS = {(row.section, row.key): row for row in _KEYS}
 _SECTIONS = {row.section for row in _KEYS}
-# Sections that build a spec held in the ExperimentConfig field of their
-# name; [run] and [monte_carlo] fill ExperimentConfig fields directly.
-_SPEC_SECTIONS = ("population", "costs", "policy", "workload")
 # The key whose value decides which of its section's keys apply; it is the
 # section's first row, so it is read before the keys it scopes.
 _SCOPE_KEY = {"policy": "kind", "workload": "source"}
@@ -323,8 +297,10 @@ def _convert(row: _Key, value):
 
 
 def _get(cfg: ExperimentConfig, row: _Key):
-    holder = getattr(cfg, row.section) if row.section in _SPEC_SECTIONS else cfg
-    return None if holder is None else getattr(holder, row.field)
+    value = cfg
+    for name in row.field.split("."):
+        value = None if value is None else getattr(value, name)
+    return value
 
 
 def _build(given: "dict[str, dict]", base_dir: "str | Path | None" = None) -> ExperimentConfig:
@@ -354,12 +330,12 @@ def _build(given: "dict[str, dict]", base_dir: "str | Path | None" = None) -> Ex
                     f"{where} does not apply to {_scope_name(scope)}; "
                     f"only to {' or '.join(map(_scope_name, row.only))}"
                 )
-            values[row.field] = _convert(row, keys[row.key])
+            values[row.key] = _convert(row, keys[row.key])
         elif applies and row.default is _REQUIRED:
             needed_by = f" for {_scope_name(scope)}" if row.only else ""
             raise ConfigError(f"{where} is required{needed_by}")
         elif applies:
-            values[row.field] = row.default
+            values[row.key] = row.default
 
     workload = fields["workload"]
     if "path" in workload:
@@ -373,19 +349,27 @@ def _build(given: "dict[str, dict]", base_dir: "str | Path | None" = None) -> Ex
         costs = CostModel(**fields["costs"])
     except ValueError as err:
         raise ConfigError(f"costs: {err}") from None
+    catalog, exponent = workload.pop("ad_catalog", None), workload.pop("ad_exponent", None)
+    if (catalog is None) != (exponent is None):
+        raise ConfigError("ad_catalog and ad_exponent must be given together")
+    if catalog is not None:
+        workload["ads"] = ZipfLaw(catalog, exponent)
+    p = fields.get("population")
     cfg = ExperimentConfig(
         costs=costs,
         policy=PolicySpec(**fields["policy"]),
         workload=WorkloadSpec(**workload),
-        population=PopulationSpec(**fields["population"]) if "population" in fields else None,
+        population=None if p is None else PopulationModel(
+            ZipfLaw(p["movies"], p["movie_exponent"]),
+            ZipfLaw(p["ads"], p["ad_exponent"]),
+            p["lambda"],
+        ),
+        mc=MonteCarloSpec(**fields["monte_carlo"]),
         **fields["run"],
-        **fields["monte_carlo"],
     )
 
     source = cfg.workload.source
-    if (cfg.workload.ad_catalog is None) != (cfg.workload.ad_exponent is None):
-        raise ConfigError("ad_catalog and ad_exponent must be given together")
-    if source == "count_trace" and cfg.workload.ad_catalog is None:
+    if source == "count_trace" and cfg.workload.ads is None:
         raise ConfigError("a count-trace workload requires ad_catalog and ad_exponent")
     if source == "synthetic" and cfg.population is None:
         raise ConfigError("a synthetic workload requires a [population] section")
@@ -525,7 +509,7 @@ def build_trace(cfg: ExperimentConfig, seed: int) -> Iterator[Columns]:
     """The trace of one run as `Columns` blocks, fully determined by (cfg, seed)."""
     source = cfg.workload.source
     if source == "synthetic":
-        return _synthetic_blocks(cfg.population_model(), cfg.workload.duration, seed)
+        return _synthetic_blocks(cfg.population, cfg.workload.duration, seed)
     sub_seed, synth_seed, overlay_seed = _trace_child_seeds(seed)
     if source == "count_trace":
         records = parse_count_trace(_file_lines(cfg.workload.path))
@@ -541,13 +525,12 @@ def build_trace(cfg: ExperimentConfig, seed: int) -> Iterator[Columns]:
         blocks = chain([first], blocks)
         if first.ads[0] != -1:
             return blocks
-        if cfg.workload.ad_catalog is None:
+        if cfg.workload.ads is None:
             raise TraceFormatError(
                 "trace has no ad ids and no ad overlay is configured "
                 "(set workload.ad_catalog and workload.ad_exponent)"
             )
-    law = ZipfLaw(cfg.workload.ad_catalog, cfg.workload.ad_exponent)
-    return overlay_ads(blocks, law, overlay_seed)
+    return overlay_ads(blocks, cfg.workload.ads, overlay_seed)
 
 
 def _verdicts(cfg: ExperimentConfig, items: ItemOrder, rates: "np.ndarray | None") -> Verdicts:
@@ -639,7 +622,7 @@ def _run_single(
         # known_rate has no sweep axis: its one point reads the trace's ids.
         rates = None
         if cfg.policy.kind == "known_rate":
-            rates = cfg.population_model().rates(trace.movies, trace.ads)
+            rates = cfg.population.rates(trace.movies, trace.ads)
         del trace  # the sorted copy is all the pricing reads
         ledgers = (
             run_length_ledger(
@@ -829,6 +812,15 @@ def emit_csv(
 # --- analytic and validation reports ---------------------------------------
 
 
+# Closed-form evaluator -> the per-item cost of drawn item rates, given the
+# prices and the policy parameter (only global_ttl reads it: its ttl). Each
+# prices the policy kind of its name; known_rate is priced as individual_ttl.
+CLOSED_FORMS = {
+    "global_ttl": lambda rates, costs, ttl: _ttl_item_costs(rates, ttl, costs),
+    "individual_ttl": lambda rates, costs, _: _ideal_item_costs(rates, costs),
+    "lower_bound": lambda rates, costs, _: _floor_item_costs(rates, costs),
+}
+
 ANALYTIC_COLUMNS = ("evaluator", "param_name", "param_value", "ttl", "cost_per_request")
 
 
@@ -841,35 +833,38 @@ def analytic_table(
     """Closed-form evaluator table for the config's population and prices.
 
     Returns dict rows with keys evaluator, param_name, param_value, ttl,
-    cost_per_request. With a ttl grid: one shared-TTL row per point plus
-    the grid argmin. With a lambda grid: the argmin search repeated at each
-    rate (population otherwise unchanged).
+    cost_per_request: a row per evaluator of CLOSED_FORMS, in its order,
+    but global_ttl, which prices each point of a ttl grid, then the grid
+    argmin taken from those rows. All of them price one draw of item rates.
+    With a lambda grid: the argmin search repeated on one draw per rate.
     """
     if ttl_grid is not None:
         ttl_grid = _grid("policy", "ttl", ttl_grid)
     if lambda_grid is not None:
         lambda_grid = _grid("population", "lambda", lambda_grid)
-    pm = cfg.population_model()
-    mc = cfg.monte_carlo()
-    rows: list[dict] = []
+    if cfg.population is None:
+        raise ConfigError("this configuration has no population section")
 
-    def row(evaluator, name, value, ttl, cost) -> None:
-        rows.append(dict(zip(ANALYTIC_COLUMNS, (evaluator, name, value, ttl, cost))))
+    def price(evaluator: str, rates: np.ndarray, param=None) -> float:
+        return _mean_cost(CLOSED_FORMS[evaluator](rates, cfg.costs, param), cfg.costs)
 
-    if ttl_grid is not None:
-        for ttl in ttl_grid:
-            row("global_ttl", "ttl", ttl, ttl, global_ttl_cost(pm, ttl, cfg.costs, mc))
-        best_ttl, best_cost = optimal_global_ttl(pm, cfg.costs, mc, ttl_grid)
-        row("optimal_global_ttl", "ttl", best_ttl, best_ttl, best_cost)
-    row("individual_ttl", "", "", "", individual_ttl_cost(pm, cfg.costs, mc))
-    row("lower_bound", "", "", "", lower_bound_cost(pm, cfg.costs, mc))
-    if lambda_grid is not None:
-        base_ttls = ttl_grid if ttl_grid is not None else [30.0 * k for k in range(21)]
-        for lam in lambda_grid:
-            pm_l = PopulationModel(movies=pm.movies, ads=pm.ads, lambda_global=lam)
-            best_ttl, best_cost = optimal_global_ttl(pm_l, cfg.costs, mc, base_ttls)
-            row("optimal_global_ttl", "lambda", lam, best_ttl, best_cost)
-    return rows
+    rates = analytic.sample_item_rates(cfg.population, cfg.mc)
+    rows = []
+    for evaluator in CLOSED_FORMS:
+        if evaluator != "global_ttl":
+            rows.append((evaluator, "", "", "", price(evaluator, rates)))
+        elif ttl_grid is not None:
+            curve = [price(evaluator, rates, ttl) for ttl in ttl_grid]
+            rows += [(evaluator, "ttl", ttl, ttl, cost) for ttl, cost in zip(ttl_grid, curve)]
+            best_ttl, best_cost = _argmin_ttl(ttl_grid, curve)
+            rows.append(("optimal_global_ttl", "ttl", best_ttl, best_ttl, best_cost))
+    base_ttls = ttl_grid if ttl_grid is not None else [30.0 * k for k in range(21)]
+    for lam in lambda_grid or ():
+        rates = analytic.sample_item_rates(replace(cfg.population, lambda_global=lam), cfg.mc)
+        curve = [price("global_ttl", rates, ttl) for ttl in base_ttls]
+        best_ttl, best_cost = _argmin_ttl(base_ttls, curve)
+        rows.append(("optimal_global_ttl", "lambda", lam, best_ttl, best_cost))
+    return [dict(zip(ANALYTIC_COLUMNS, row)) for row in rows]
 
 
 VALIDATION_COLUMNS = (
@@ -887,35 +882,20 @@ VALIDATION_COLUMNS = (
 def validation_report(cfg: ExperimentConfig, *, jobs: int = 1) -> list[dict]:
     """Simulate the config and compare with its closed-form counterpart.
 
-    Supported for global_ttl, individual_ttl, known_rate and lower_bound on
-    synthetic workloads. The individual-TTL simulations (estimated or known
-    rates) are both compared with the per-item ideal-TTL evaluator.
+    Supported on synthetic workloads for the kinds of CLOSED_FORMS and for
+    known_rate, which is compared with individual_ttl's known-rate ideal.
+    The simulation runs first, then one draw of item rates prices the form.
     """
     if cfg.workload.source != "synthetic":
         raise ConfigError("validate requires a synthetic workload")
     kind = cfg.policy.kind
-    pm = cfg.population_model()
-    mc = cfg.monte_carlo()
-    if kind == "global_ttl":
-        analytic = global_ttl_cost(pm, cfg.policy.ttl, cfg.costs, mc)
-    elif kind in ("individual_ttl", "known_rate"):
-        analytic = individual_ttl_cost(pm, cfg.costs, mc)
-    elif kind == "lower_bound":
-        analytic = lower_bound_cost(pm, cfg.costs, mc)
-    else:
+    form = CLOSED_FORMS.get("individual_ttl" if kind == "known_rate" else kind)
+    if form is None:
         raise ConfigError(f"no closed-form counterpart for policy kind {kind!r}")
-    rows = run_experiment(cfg, jobs=jobs)
-    mean = rows[-1]
-    name, value = _policy_param(cfg)
-    return [
-        {
-            "policy": kind,
-            "param_name": name,
-            "param_value": value,
-            "analytic_cost": analytic,
-            "sim_mean": mean.cost_per_request,
-            "sim_sd": mean.cost_sd if mean.cost_sd is not None else "",
-            "rel_err": abs(mean.cost_per_request - analytic) / analytic,
-            "seeds": len(cfg.seeds),
-        }
-    ]
+    mean = run_experiment(cfg, jobs=jobs)[-1]
+    rates = analytic.sample_item_rates(cfg.population, cfg.mc)
+    closed_form = _mean_cost(form(rates, cfg.costs, cfg.policy.ttl), cfg.costs)
+    sim, sd = mean.cost_per_request, ("" if mean.cost_sd is None else mean.cost_sd)
+    rel_err = abs(sim - closed_form) / closed_form
+    row = (kind, *_policy_param(cfg), closed_form, sim, sd, rel_err, len(cfg.seeds))
+    return [dict(zip(VALIDATION_COLUMNS, row))]

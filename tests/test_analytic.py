@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cachecost.analytic import (
+    MAX_MC_SAMPLES,
     CostModel,
     KeepDecision,
     MonteCarloSpec,
@@ -258,6 +260,14 @@ def test_monte_carlo_spec_validation():
         MonteCarloSpec(samples=10, seed=-1)
     with pytest.raises(ValueError):
         MonteCarloSpec(samples=True, seed=1)
+
+
+def test_monte_carlo_samples_stop_at_the_limit():
+    # building the spec allocates nothing, so the limit itself is cheap to check
+    assert MonteCarloSpec(MAX_MC_SAMPLES, 0).samples == MAX_MC_SAMPLES
+    too_many = MAX_MC_SAMPLES + 1
+    with pytest.raises(ValueError, match=f"^samples must be <= {MAX_MC_SAMPLES}, got {too_many}$"):
+        MonteCarloSpec(too_many, 0)
 
 
 _RECORDS = [
@@ -595,3 +605,28 @@ def test_optimal_ttl_rejects_empty_grid():
     pm = default_population(10.0)
     with pytest.raises(ValueError):
         optimal_global_ttl(pm, COSTS, _spec(samples=10), [])
+
+
+@pytest.mark.parametrize("ttl", [600.0, math.inf])
+def test_overflowing_rates_price_their_limit_without_a_warning(ttl):
+    # at lambda = 1e308 the hottest items' rate * ttl overflows; e^-inf = 0
+    # leaves their cost at S/rate, whatever the ttl
+    pm = default_population(1e308)
+    mc = _spec(samples=2_000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        costs = [
+            global_ttl_cost(pm, ttl, COSTS, mc),
+            individual_ttl_cost(pm, COSTS, mc),
+            lower_bound_cost(pm, COSTS, mc),
+        ]
+    rates = sample_item_rates(pm, mc)
+    assert costs[0] == pytest.approx(float(np.mean(S / rates)) + X, rel=1e-12)
+    assert costs[1] == costs[2] == pytest.approx(costs[0], rel=1e-12)
+
+
+def test_optimal_ttl_of_an_infinite_curve_is_its_smallest_ttl():
+    pm = default_population(100.0)
+    dear = CostModel(storage_per_item_hour=1e308, compute_per_item=C, transmission_per_item=X)
+    # every item's S / rate overflows, so every point costs inf
+    assert optimal_global_ttl(pm, dear, _spec(samples=500), [math.inf, 1e9]) == (1e9, math.inf)

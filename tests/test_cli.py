@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from cachecost import analytic, experiments
+from cachecost.analytic import MAX_MC_SAMPLES
 from cachecost.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_TRACE, main
 from cachecost.engine import InvariantViolation
 from cachecost.experiments import ANALYTIC_COLUMNS, CSV_COLUMNS, VALIDATION_COLUMNS
@@ -129,6 +131,73 @@ def test_analytic_bad_grid_value_is_config_error(config_file, capsys, grid):
     err = capsys.readouterr().err
     assert err.startswith("config error: bad grid value")
     assert err.count("\n") == 1
+
+
+def _count_draws(monkeypatch) -> list:
+    """Calls of `analytic.sample_item_rates`, one entry per Monte Carlo draw."""
+    calls = []
+    draw = analytic.sample_item_rates
+
+    def counted(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(analytic, "sample_item_rates", counted)
+    return calls
+
+
+@pytest.mark.parametrize("extra, draws", [([], 1), (["--lambda-grid", "10,100,1000"], 4)])
+def test_analytic_draws_once_per_table_and_once_per_rate(monkeypatch, capsys, extra, draws):
+    calls = _count_draws(monkeypatch)
+    smoke = str(CONFIGS / "smoke_analytic.ini")
+    assert main(["analytic", "--config", smoke, "--ttl-grid", "0,60,120", *extra]) == EXIT_OK
+    assert len(calls) == draws
+
+
+@pytest.mark.filterwarnings("error")
+def test_analytic_at_an_overflowing_rate_warns_nothing(capfd):
+    smoke = str(CONFIGS / "smoke_analytic.ini")
+    assert main(["analytic", "--config", smoke, "--lambda-grid", "100,1e308"]) == EXIT_OK
+    out, err = capfd.readouterr()
+    assert err == ""
+    assert out == (
+        "evaluator,param_name,param_value,ttl,cost_per_request\n"
+        "individual_ttl,,,,0.0011370602833700916\n"
+        "lower_bound,,,,0.0010968056885254827\n"
+        "optimal_global_ttl,lambda,100.0,60.0,0.0012169282751140823\n"
+        "optimal_global_ttl,lambda,1e+308,30.0,0.000525\n"
+    )
+
+
+def test_monte_carlo_samples_past_the_limit_are_one_config_error_line(
+    config_file, capsys, monkeypatch
+):
+    calls = _count_draws(monkeypatch)
+    too_many = MAX_MC_SAMPLES + 1
+    with open(config_file, "a") as handle:
+        handle.write(f"\n[monte_carlo]\nsamples = {too_many}\n")
+    assert main(["analytic", "--config", config_file]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: monte_carlo.samples: samples must be <= {MAX_MC_SAMPLES}, got {too_many}\n"
+    )
+    assert calls == []  # rejected while parsing, before any draw
+
+
+def test_validate_takes_its_rows_from_the_run_experiment_global(config_file, capsys, monkeypatch):
+    """perfbench/runner.py reads validate's per-seed rows by wrapping the
+    module global `experiments.run_experiment`; validate must call it there."""
+    seen = []
+    run_experiment = experiments.run_experiment
+
+    def tap(cfg, **kwargs):
+        rows = run_experiment(cfg, **kwargs)
+        seen.extend(rows[:-1])  # the last row is the mean
+        return rows
+
+    monkeypatch.setattr(experiments, "run_experiment", tap)
+    seeds = ["--seed", "3", "--seed", "4", "--seed", "5"]
+    assert main(["validate", "--config", config_file, *seeds]) == EXIT_OK
+    assert [row.seed for row in seen] == ["3", "4", "5"]
 
 
 def test_validate_reports_relative_error(config_file, capsys):

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import io
 import math
 import statistics
@@ -34,7 +35,14 @@ from cachecost.experiments import (
     sweep,
     validation_report,
 )
-from cachecost.analytic import ZipfLaw
+from cachecost.analytic import (
+    MonteCarloSpec,
+    ZipfLaw,
+    global_ttl_cost,
+    individual_ttl_cost,
+    lower_bound_cost,
+    optimal_global_ttl,
+)
 from cachecost.engine import cost_per_request, run
 from cachecost.policies import (
     GlobalTtlPolicy,
@@ -108,7 +116,7 @@ duration = 10.0
 """)
     assert cfg.seeds == (1, 2, 3, 4, 5)
     assert cfg.warmup == 0.0
-    assert (cfg.mc_samples, cfg.mc_seed) == (25_000, 0)
+    assert cfg.mc == MonteCarloSpec(25_000, 0)
     assert cfg.policy.ttl is None and cfg.policy.capacity is None
 
 
@@ -403,7 +411,7 @@ def _requests(cfg, seed):
 
 def test_synthetic_requests_match_generator_directly():
     cfg = _cfg()
-    want = list(gen_synthetic(cfg.population_model(), 30.0, seed=2))
+    want = list(gen_synthetic(cfg.population, 30.0, seed=2))
     assert _requests(cfg, 2) == want
 
 
@@ -566,7 +574,7 @@ def test_synthetic_trace_checksum_equals_a_per_event_fold():
     # about 24k arrivals: three draw blocks of 8192
     cfg = _cfg(SMALL_SYNTH.replace("lambda = 40.0", "lambda = 800.0"))
     [row] = _run_single(cfg, 2)
-    requests = list(gen_synthetic(cfg.population_model(), 30.0, seed=2))
+    requests = list(gen_synthetic(cfg.population, 30.0, seed=2))
     assert len(requests) > 2 * 8192
     assert row.trace_checksum == _event_checksum(requests)
 
@@ -663,7 +671,7 @@ def test_run_rows_equal_the_engine_with_the_policy_class(policy):
     ones the event engine gives with that kind's policy class."""
     cfg = _cfg(SMALL_SYNTH.replace("kind = global_ttl\nttl = 60.0", policy)
                .replace("warmup = 0.0", "warmup = 5.0"))
-    pm = cfg.population_model()
+    pm = cfg.population
 
     def rate_of(item):
         return pm.rates(*item)
@@ -948,6 +956,31 @@ def test_analytic_table_lambda_grid():
         analytic_table(_cfg(), lambda_grid=[-3.0])
 
 
+@pytest.mark.parametrize(
+    "ttl_grid, lambda_grid",
+    [([0.0, 60.0, 120.0, math.inf], None), (None, [10.0, 1e3]), ([60.0, 0.0, 60.0], [10.0])],
+    ids=["ttl", "lambda", "both"],
+)
+def test_analytic_table_rows_equal_the_public_evaluators(ttl_grid, lambda_grid):
+    """The table prices its rows on one draw; each row is still exactly what
+    the public evaluator of its kind gives on its own draw."""
+    cfg = load_config(CONFIGS / "smoke_analytic.ini")
+    pm, costs, mc = cfg.population, cfg.costs, cfg.mc
+    want = []
+    if ttl_grid is not None:
+        want += [("global_ttl", "ttl", t, t, global_ttl_cost(pm, t, costs, mc)) for t in ttl_grid]
+        best_ttl, best_cost = optimal_global_ttl(pm, costs, mc, ttl_grid)
+        want.append(("optimal_global_ttl", "ttl", best_ttl, best_ttl, best_cost))
+    want.append(("individual_ttl", "", "", "", individual_ttl_cost(pm, costs, mc)))
+    want.append(("lower_bound", "", "", "", lower_bound_cost(pm, costs, mc)))
+    base = ttl_grid if ttl_grid is not None else [30.0 * k for k in range(21)]
+    for lam in lambda_grid or ():
+        best = optimal_global_ttl(dataclasses.replace(pm, lambda_global=lam), costs, mc, base)
+        want.append(("optimal_global_ttl", "lambda", lam, *best))
+    rows = analytic_table(cfg, ttl_grid=ttl_grid, lambda_grid=lambda_grid)
+    assert [tuple(row[c] for c in ANALYTIC_COLUMNS) for row in rows] == want
+
+
 def test_every_empty_grid_is_a_config_error():
     cfg = _cfg()
     with pytest.raises(ConfigError, match="policy.ttl: grid must not be empty"):
@@ -996,3 +1029,43 @@ def test_emit_dict_csv_writes_fixed_columns():
     buf = io.StringIO()
     emit_csv(rows, buf, ("a", "b", "c"))
     assert buf.getvalue() == "a,b,c\n1,x,0.5\n2,,\n"
+
+
+# --- one object per law ---------------------------------------------------------
+
+
+@pytest.fixture
+def guide_builds(monkeypatch):
+    """The laws whose guide table gets built, one entry per build."""
+    built = []
+    build = ZipfLaw._guide.func
+
+    def counted(law):
+        built.append(law)
+        return build(law)
+
+    guide = functools.cached_property(counted)
+    guide.__set_name__(ZipfLaw, "_guide")
+    monkeypatch.setattr(ZipfLaw, "_guide", guide)
+    return built
+
+
+def test_a_synthetic_run_builds_each_law_once(guide_builds):
+    cfg = _cfg(SMALL_SYNTH.replace("seeds = 1,2,3", "seeds = 1,2,3,4,5"))
+    run_experiment(cfg, jobs=1)
+    assert len(guide_builds) == 2
+    assert guide_builds[0] is cfg.population.movies and guide_builds[1] is cfg.population.ads
+
+
+def test_a_request_trace_run_builds_its_overlay_law_once(tmp_path, guide_builds):
+    _, cfg = _long_trace_config(tmp_path, "global_ttl", ads=False)
+    run_experiment(override(cfg, "run", "seeds", (1, 2)), jobs=1)
+    assert len(guide_builds) == 1
+    assert guide_builds[0] == ZipfLaw(7, 0.9)
+
+
+def test_validate_builds_each_law_once(guide_builds):
+    cfg = load_config(CONFIGS / "validate_global_ttl.ini")
+    validation_report(cfg, jobs=1)
+    assert len(guide_builds) == 2
+    assert guide_builds[0] is cfg.population.movies and guide_builds[1] is cfg.population.ads
