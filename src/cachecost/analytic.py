@@ -249,12 +249,23 @@ def expected_item_cost(rate: float, ttl: float, costs: CostModel) -> float:
     costs exactly one recompute per request.
     """
     rate = _check_real("rate", rate, 0, above=True)
-    return float(_ttl_item_costs(rate, _validate_ttl(ttl), costs))
+    return float(_ttl_item_costs(np.array([rate]), _validate_ttl(ttl), costs)[0])
 
 
 # Per-item closed forms: the storage-plus-compute cost per request of items
 # of the given Poisson rates. An overflow is already the right limit (e^-inf
 # is 0, a cost past the float range is inf), so its warning is silenced.
+# Where S/r is past the float range (r = 0 or a subnormal r) each form takes
+# its limit as r -> 0 instead.
+
+
+def _held_costs(rates: np.ndarray, costs: CostModel) -> np.ndarray:
+    """S/r of each rate, the cost per request of an item kept forever; inf
+    where r = 0 or the quotient overflows."""
+    with np.errstate(over="ignore"):
+        return np.divide(
+            costs.storage_per_item_hour, rates, out=np.full_like(rates, np.inf), where=rates > 0
+        )
 
 
 def _ttl_item_costs(rates: np.ndarray, ttl: float, costs: CostModel) -> np.ndarray:
@@ -262,30 +273,39 @@ def _ttl_item_costs(rates: np.ndarray, ttl: float, costs: CostModel) -> np.ndarr
     s, c = costs.storage_per_item_hour, costs.compute_per_item
     if ttl == 0.0:
         return np.full_like(rates, c)
+    held = _held_costs(rates, costs)
+    if math.isinf(ttl):
+        return held
+    limit = np.isinf(held)
+    held[limit] = 0.0  # keeps inf * 0 out; these items get the limit below
     with np.errstate(over="ignore"):
-        if math.isinf(ttl):
-            return s / rates
         # (s/rate) * (1 - e^{-rate*ttl}) + c * e^{-rate*ttl}; expm1 keeps
         # the first term accurate when rate*ttl underflows toward 0.
         x = rates * ttl
-        return (s / rates) * -np.expm1(-x) + c * np.exp(-x)
+        cost = held * -np.expm1(-x) + c * np.exp(-x)
+    # As r -> 0 every request is a miss that is then held for ttl hours.
+    cost[limit] = c + s * ttl
+    return cost
 
 
 def _ideal_item_costs(rates: np.ndarray, costs: CostModel) -> np.ndarray:
     """Cost of each item under its ideal TTL for a known rate: kept forever
     when its rate strictly clears the break-even rate, else never stored."""
-    s, c = costs.storage_per_item_hour, costs.compute_per_item
-    with np.errstate(over="ignore"):
-        return np.where(keeps(rates, costs), s / rates, c)
+    return np.where(keeps(rates, costs), _held_costs(rates, costs), costs.compute_per_item)
 
 
 def _floor_item_costs(rates: np.ndarray, costs: CostModel) -> np.ndarray:
     """Cost of each item under the clairvoyant per-gap rule: knowing each
     upcoming gap, pay the cheaper of bridging it in storage or recomputing
-    at its end, E[min(gap * S, C)] = (S/r) * (1 - e^{-C*r/S})."""
+    at its end, E[min(gap * S, C)] = (S/r) * (1 - e^{-C*r/S}); C as r -> 0."""
     s, c = costs.storage_per_item_hour, costs.compute_per_item
+    held = _held_costs(rates, costs)
+    limit = np.isinf(held)
+    held[limit] = 0.0  # keeps inf * 0 out; these items get the limit below
     with np.errstate(over="ignore"):
-        return (s / rates) * -np.expm1(-(c / s) * rates)
+        cost = held * -np.expm1(-(c / s) * rates)
+    cost[limit] = c
+    return cost
 
 
 def _mean_cost(per_item: np.ndarray, costs: CostModel) -> float:

@@ -10,7 +10,9 @@ arrivals at once, and a caller that joins or lists the blocks hold a whole
 trace.
 
 Two text formats are supported, both UTF-8, comma separated, with `#`
-comment lines and `.` as the decimal point:
+comment lines and `.` as the decimal point. Each field is read by Python's
+`float` or `int`, so underscore digit groups and non-ASCII digits are
+valid, and a `#` after data is part of its field, not a comment:
 
 request trace    time_hours,movie_id[,ad_id]
 count trace      movie_id,upload_time_hours,total_views,horizon_hours
@@ -24,8 +26,9 @@ the int64 `Columns` form.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -141,30 +144,32 @@ def requests_of(blocks: Iterable[Columns]) -> Iterator[tuple[float, tuple[int, i
     )
 
 
-def _data_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, stripped content), skipping blanks and comments."""
-    for no, raw in enumerate(lines, start=1):
+def _data_lines(lines: Iterable[str], start: int = 1) -> Iterator[tuple[int, str]]:
+    """Yield (line number, stripped content), skipping blanks and comments;
+    the first line is number `start`."""
+    for no, raw in enumerate(lines, start=start):
         text = raw.strip()
         if not text or text.startswith("#"):
             continue
         yield no, text
 
 
-def parse_request_trace(lines: Iterable[str]) -> Iterator[Columns]:
-    """Parse a request trace into blocks of `BLOCK_REQUESTS`, validating
-    order and field ranges as it streams.
+def _parse_lines(
+    lines: Iterable[str], start: int = 1, arity: "int | None" = None, prev: float = -1.0
+) -> tuple[Columns, "int | None"]:
+    """The request-trace line parser, which defines the format: every line
+    split on commas and converted by `float` and `int`.
 
-    The first data line fixes whether the file carries ad ids; a later line
-    with the other arity is an error, and without them every ad is -1.
-    Timestamps must be finite, >= 0 and nondecreasing. Raises
-    TraceFormatError with the offending line number.
+    Parses the lines as if they followed earlier lines of the same file:
+    the first is line number `start`, `arity` is the field count the file
+    started with (None before its first data line) and `prev` the last
+    timestamp before them. Returns the requests as one `Columns` and the
+    field count. Raises TraceFormatError with the offending line number.
     """
-    arity: "int | None" = None
-    prev = -1.0
     times: list[float] = []
     movies: list[int] = []
     ads: list[int] = []
-    for no, text in _data_lines(lines):
+    for no, text in _data_lines(lines, start):
         fields = text.split(",")
         if len(fields) not in (2, 3):
             raise TraceFormatError(
@@ -204,11 +209,81 @@ def parse_request_trace(lines: Iterable[str]) -> Iterator[Columns]:
         times.append(time)
         movies.append(movie)
         ads.append(ad)
-        if len(times) == BLOCK_REQUESTS:
-            yield _block(times, movies, ads)
-            times, movies, ads = [], [], []
-    if times:
-        yield _block(times, movies, ads)
+    return _block(times, movies, ads), arity
+
+
+_ROW = {
+    2: np.dtype([("t", "<f8"), ("m", "<i8")]),
+    3: np.dtype([("t", "<f8"), ("m", "<i8"), ("a", "<i8")]),
+}
+_COMMENT_LINE = re.compile(r"^\s*#", re.MULTILINE)
+
+
+def _columnar_chunk(chunk: list[str], arity: int, prev: float) -> "Columns | None":
+    """The chunk's requests as `np.loadtxt` parses them with `arity` fields,
+    or None where the line parser must decide: loadtxt fails, or a value
+    fails a range or order check.
+
+    loadtxt accepts no line that the line parser rejects, but for a `#`
+    after data, which it strips as a comment. It rejects some lines the
+    line parser accepts: whitespace-only or indented comment lines,
+    underscores or non-ASCII digits in a number.
+    """
+    if arity not in _ROW:
+        return None
+    text = "\n".join(chunk)
+    hashes = text.count("#")
+    if hashes and hashes != len(_COMMENT_LINE.findall(text)):
+        return None
+    try:
+        rows = np.loadtxt(chunk, dtype=_ROW[arity], delimiter=",", comments="#", ndmin=1)
+    except ValueError:
+        return None
+    times = np.ascontiguousarray(rows["t"])
+    movies = np.ascontiguousarray(rows["m"])
+    ads = np.ascontiguousarray(rows["a"]) if arity == 3 else np.full(times.size, -1, np.int64)
+    valid = (
+        np.isfinite(times).all()
+        and (times >= 0.0).all()
+        and times[0] >= prev
+        and (times[1:] >= times[:-1]).all()
+        and (movies >= 1).all()
+        and (arity == 2 or (ads >= 1).all())
+    )
+    return Columns(times, movies, ads) if valid else None
+
+
+def parse_request_trace(lines: Iterable[str]) -> Iterator[Columns]:
+    """Parse a request trace into blocks, one per `BLOCK_REQUESTS` lines,
+    validating order and field ranges as it streams.
+
+    The first data line fixes whether the file carries ad ids; a later line
+    with the other arity is an error, and without them every ad is -1.
+    Timestamps must be finite, >= 0 and nondecreasing. Raises
+    TraceFormatError with the offending line number.
+
+    `np.loadtxt` parses each chunk of lines and array tests check it. The
+    line parser `_parse_lines` defines the format: it re-reads a chunk
+    that loadtxt cannot parse or that fails a check, and raises the exact
+    error or accepts what loadtxt cannot. Either way the requests are the
+    same to the bit. A larger chunk is no faster and raises peak memory.
+    """
+    lines = iter(lines)
+    arity: "int | None" = None
+    prev = -1.0
+    start = 1
+    while chunk := list(islice(lines, BLOCK_REQUESTS)):
+        first = next(_data_lines(chunk), None)
+        if first is not None:
+            fields = arity or first[1].count(",") + 1
+            block = _columnar_chunk(chunk, fields, prev)
+            if block is None:
+                block, arity = _parse_lines(chunk, start, arity, prev)
+            else:
+                arity = fields
+            prev = float(block.times[-1])
+            yield block
+        start += len(chunk)
 
 
 @dataclass(frozen=True)

@@ -625,6 +625,25 @@ def test_overflowing_rates_price_their_limit_without_a_warning(ttl):
     assert costs[1] == costs[2] == pytest.approx(costs[0], rel=1e-12)
 
 
+@pytest.mark.parametrize("lam", [5e-324, 1e-320, 1e-310])
+def test_underflowing_rates_price_their_limit_without_a_warning(lam):
+    # at 5e-324 every rate is 0; at 1e-320 every S / rate overflows; at
+    # 1e-310 it overflows for the rarer items only. Either way rate * ttl
+    # is far below 1, so every item costs about its r -> 0 limit.
+    pm = default_population(lam)
+    mc = _spec(samples=2_000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        held = global_ttl_cost(pm, 60.0, COSTS, mc)
+        forever = global_ttl_cost(pm, math.inf, COSTS, mc)
+        ideal = individual_ttl_cost(pm, COSTS, mc)
+        floor = lower_bound_cost(pm, COSTS, mc)
+    assert held == pytest.approx(C + S * 60.0 + X, rel=1e-12)
+    assert forever == math.inf
+    assert ideal == pytest.approx(C + X, rel=1e-12)
+    assert floor == pytest.approx(C + X, rel=1e-12)
+
+
 def test_optimal_ttl_of_an_infinite_curve_is_its_smallest_ttl():
     pm = default_population(100.0)
     dear = CostModel(storage_per_item_hour=1e308, compute_per_item=C, transmission_per_item=X)

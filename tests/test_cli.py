@@ -13,6 +13,7 @@ from cachecost.analytic import MAX_MC_SAMPLES
 from cachecost.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_TRACE, main
 from cachecost.engine import InvariantViolation
 from cachecost.experiments import ANALYTIC_COLUMNS, CSV_COLUMNS, VALIDATION_COLUMNS
+from cachecost.workload import BLOCK_REQUESTS
 
 CONFIG = """
 [costs]
@@ -166,6 +167,26 @@ def test_analytic_at_an_overflowing_rate_warns_nothing(capfd):
         "lower_bound,,,,0.0010968056885254827\n"
         "optimal_global_ttl,lambda,100.0,60.0,0.0012169282751140823\n"
         "optimal_global_ttl,lambda,1e+308,30.0,0.000525\n"
+    )
+
+
+@pytest.mark.filterwarnings("error")
+def test_analytic_at_an_underflowing_rate_prices_the_limit(tmp_path, capfd):
+    # at lambda = 5e-324 every item rate is 0: a ttl costs C + S * ttl, the
+    # ideal and the floor cost C, a ttl of inf never expires
+    cfg = tmp_path / "tiny.ini"
+    cfg.write_text((CONFIGS / "smoke_analytic.ini").read_text().replace("lambda = 100.0", "lambda = 5e-324"))
+    assert main(["analytic", "--config", str(cfg), "--ttl-grid", "0,60,inf"]) == EXIT_OK
+    out, err = capfd.readouterr()
+    assert err == ""
+    assert out == (
+        "evaluator,param_name,param_value,ttl,cost_per_request\n"
+        "global_ttl,ttl,0.0,0.0,0.001245\n"
+        "global_ttl,ttl,60.0,60.0,0.0012741600000000003\n"
+        "global_ttl,ttl,inf,inf,inf\n"
+        "optimal_global_ttl,ttl,0.0,0.0,0.001245\n"
+        "individual_ttl,,,,0.001245\n"
+        "lower_bound,,,,0.001245\n"
     )
 
 
@@ -384,6 +405,24 @@ def test_trace_that_is_not_utf8_exits_with_trace_code(tmp_path, capsys, source, 
     err = capsys.readouterr().err
     assert err.startswith("trace error: line 2: ") and "UTF-8" in err
     assert err.count("\n") == 1
+
+
+# The bad line 9001 lies in the third chunk of lines the trace is read in.
+_LONG_TRACE = "# time,movie\n" + "".join(f"{i / 2!r},{i % 5 + 1}\n" for i in range(1, 9000))
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (_LONG_TRACE.encode() + b"5000.0,\xff\n", "{path} is not UTF-8 text: invalid start byte"),
+        (_LONG_TRACE.encode() + b"1.0,2\n", "timestamps must be nondecreasing (1.0 after 4499.5)"),
+    ],
+)
+def test_trace_error_past_the_first_chunk_names_its_line(tmp_path, capsys, data, message):
+    assert 2 * BLOCK_REQUESTS < 9001
+    assert _trace_run(tmp_path, "request_trace", data) == EXIT_TRACE
+    message = message.format(path=tmp_path / "t.csv")
+    assert capsys.readouterr().err == f"trace error: line 9001: {message}\n"
 
 
 def test_request_trace_with_a_byte_order_mark_reads_as_without(tmp_path):

@@ -6,7 +6,7 @@ from operator import itemgetter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cachecost.analytic import PopulationModel, ZipfLaw
@@ -257,6 +257,100 @@ def test_parse_rejects_mixed_arity():
 
 def test_trace_format_error_is_a_value_error():
     assert issubclass(TraceFormatError, ValueError)
+
+
+# Number texts that the checks reject, and spellings that only one of
+# loadtxt and the line parser reads.
+_BAD_TIMES = ["inf", "nan", "-inf", "1e400", "-1.5", "-0.5", "infinity", "1.7976931348623159e308"]
+_ODD_TIMES = [
+    "-0.0", "+7", "00007", "1_0.5", "١.5", "٣", "abc", "", "0x10", "1e-400", "+ 1", "1.5.5",
+    "4.9e-324", "2.4703282292062328e-324", "1.7976931348623157e308",
+]
+_BAD_IDS = ["0", "-1", "-0", str(2**63), "1" * 30]
+_ODD_IDS = [
+    "+7", "00007", "7.0", "7e0", str(2**63 - 1), "7_0", "٣", "x", "", " 7 ", "\xa07", "\x0c7",
+    "7\xa0", "+ 7",
+]
+_PADS = st.sampled_from(["", "", "", "", " ", "\t", "\xa0", "\x0c"])
+# loadtxt skips the first three but stops at the others.
+_NON_DATA = ["", "# c", "#"] * 3 + ["   ", "\t", "\x0c", "\xa0", "  # indented", "#x#y"]
+# Decimal texts, with exponents down to subnormal and underflowing values.
+_DECIMALS = st.from_regex(r"\A[0-9]{1,19}(\.[0-9]{0,19})?([eE](-[0-9]{1,3}|\+?[0-9]{1,2}))?\Z")
+
+
+@st.composite
+def _request_trace_lines(draw):
+    """A request trace as text lines: well formed, in order and of one
+    arity, with padding and comments, but for one or two defects: a bad or
+    oddly spelt number, a regression, a trailing comment, another arity."""
+    times = draw(st.lists(st.one_of(_DECIMALS, st.floats(0, 1e6).map(repr)), max_size=20))
+    times += times[: draw(st.integers(0, 5))]  # ties
+    times.sort(key=float)
+    arity = draw(st.sampled_from([2, 3]))
+    ids = st.one_of(st.integers(1, 9).map(str), st.integers(1, 2**63 - 1).map(str))
+    at = st.integers(0, max(len(times) - 1, 0))
+    defects = dict(draw(st.lists(st.tuples(at, st.integers(0, 6)), min_size=1, max_size=2)))
+    lines = []
+    for no, time in enumerate(times):
+        while draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(_NON_DATA)) + draw(st.sampled_from(["", "\n", "\r\n"])))
+        defect = defects.get(no)
+        if defect == 0:
+            time = draw(st.sampled_from(_BAD_TIMES + _ODD_TIMES))
+        elif defect == 1:
+            time = repr(float(time) / 2)  # a regression, unless time is 0
+        fields = [time, draw(ids), draw(ids)][: draw(st.integers(1, 4)) if defect == 2 else arity]
+        if defect == 3:
+            fields[-1] = draw(st.sampled_from(_BAD_IDS))
+        if defect == 4:
+            fields[draw(st.integers(1, len(fields) - 1))] = draw(st.sampled_from(_ODD_IDS))
+        if defect == 5:
+            fields[0] = draw(st.sampled_from(_BAD_TIMES))
+        if draw(st.integers(0, 5)) == 0:
+            fields = [draw(_PADS) + field + draw(_PADS) for field in fields]
+        line = draw(_PADS) + ",".join(fields) + draw(_PADS)
+        if defect == 6:
+            line += " # c"
+        lines.append(line + draw(st.sampled_from(["", "\n", "\n", "\r\n"])))
+    return lines
+
+
+def _outcome(parse, lines):
+    """The parsed columns as (dtype, bytes) pairs, or the error's text and line."""
+    try:
+        cols = parse(lines)
+    except TraceFormatError as err:
+        return str(err), err.line_no
+    return [(column.dtype.str, column.tobytes()) for column in cols]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_request_trace_lines(), st.sampled_from([1, 2, 3, 5, BLOCK_REQUESTS]))
+@example(["0.5,1", "0.25,2"], 2)  # a regression inside a chunk
+@example(["0.5,1", "0.5,2", "0.5,3", "0.25,4"], 3)  # and just past a chunk edge
+@example(["-0.5,1"], 2)
+@example(["0.5,1", "# c", "0.5,3,4"], 2)  # the arity changes at a chunk edge
+@example(["1_0.5,7", "11.5,7_0", "12.5,٣", "13.5,7 # c"], 2)
+@example(["0.5,1,1", "0.5,2,0"], 2)  # ad ids below 1
+@example(["0.5,1,-1"], 2)
+@example(["-0.0,1\r\n", "0.0,2\r\n", "\x0c1.5\xa0,00007\n", "2,+7"], 2)
+def test_columnar_parse_equals_the_line_parser(lines, chunk):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(workload, "BLOCK_REQUESTS", chunk)
+        fast = _outcome(lambda ls: columns_of(parse_request_trace(ls)), lines)
+    assert fast == _outcome(lambda ls: workload._parse_lines(ls)[0], lines)
+
+
+def test_well_formed_trace_is_parsed_without_the_line_parser(monkeypatch):
+    def unused(*args):
+        raise AssertionError("the line parser re-read a well-formed chunk")
+
+    monkeypatch.setattr(workload, "_parse_lines", unused)
+    lines = ["# time,movie,ad\n"] + [f"{i / 4!r},{i % 7 + 1},{i % 3 + 1}\n" for i in range(9000)]
+    cols = columns_of(parse_request_trace(lines))
+    assert cols.times.size == 9000 and cols.ads[:3].tolist() == [1, 2, 3]
+    cols = columns_of(parse_request_trace(line.rsplit(",", 1)[0] for line in lines[1:]))
+    assert cols.movies.size == 9000 and (cols.ads == -1).all()
 
 
 # --- count traces -----------------------------------------------------------
