@@ -11,9 +11,18 @@ are the oracle; every kind has one fast path whose ledger is `==` theirs.
 Every policy but LRU decides a request from its item's own previous or
 next request. `by_item` sorts a columnar trace by item, a `*_verdicts`
 function gives the policy's verdicts for all requests at once, and
-`run_length_ledger` prices them as residency runs. LRU's evictions depend
-on every other item, so `lru_ledger` streams the blocks through one
-recency-ordered dict and bills each eviction as it happens.
+`run_length_ledger` prices them as residency runs. LRU is a stack
+algorithm (Mattson, Gecsei, Slutz and Traiger 1970), and `lru_ledgers`
+prices every capacity of a trace from two facts:
+
+- A request whose item was last requested at p hits at capacity c exactly
+  when fewer than c distinct items were requested since p, its stack
+  distance D: D < c. A first request misses at every capacity.
+- Once c misses have filled the cache, every later miss evicts one
+  residency, in order of their last requests: the m-th eviction, at the
+  (c + m)-th miss, closes the residency whose last request is the m-th
+  earliest. LRU evicts the resident whose last request is oldest, so no
+  residency is evicted before one whose last request came earlier.
 
 A warmup threshold makes the ledger count only requests at or after the
 threshold and only storage accrued from it onwards, while the cache state
@@ -23,10 +32,8 @@ is still built from the entire prefix.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import islice
-from typing import Hashable, Iterable, NamedTuple, Protocol
+from typing import Hashable, Iterable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -46,7 +53,7 @@ __all__ = [
     "individual_ttl_verdicts",
     "known_rate_verdicts",
     "lower_bound_verdicts",
-    "lru_ledger",
+    "lru_ledgers",
     "run",
     "run_length_ledger",
 ]
@@ -201,65 +208,242 @@ def _check_times(times: np.ndarray, prev: float) -> None:
         )
 
 
-def lru_ledger(
+# Steps of the chunked passes over a whole trace in `lru_ledgers`: they
+# bound its working memory beyond the trace's times and item keys.
+_CHUNK = 1 << 13
+
+
+def lru_ledgers(
     blocks: Iterable[Columns],
-    capacity: int,
+    capacities: Sequence[int],
     costs: CostModel,
     *,
     warmup: float = 0.0,
-) -> CostLedger:
-    """The ledger `run` gives for `LruPolicy(capacity)`, streamed from the
-    blocks of a trace without joining them.
+) -> list[CostLedger]:
+    """The ledger `run` gives for `LruPolicy(c)` at each capacity c, all
+    from one pass over the blocks of a trace.
 
-    One `OrderedDict` holds the cache in recency order and maps each item
-    to the start of its billed residency: its miss time, or the warmup if
-    it missed before. A miss that overfills the cache evicts the least
-    recent item and bills it up to the miss. Items still resident at the
-    end are billed up to the last request in order of their start, which
-    is the engine's order, as miss times never decrease. So item-hours are
-    the engine's terms added in the engine's order.
+    The pass finds each request's stack distance, so every capacity's hits
+    follow at once; see the module docstring for why eviction order is
+    last-access order. Item-hours are the engine's terms in the engine's
+    order, summed in sequence: each eviction as it happens, then the items
+    still resident at the end in order of their start.
     """
-    capacity = _check_int("capacity", capacity, 1)
+    capacities = [_check_int("capacity", c, 1) for c in capacities]
     warmup = _check_warmup(warmup)
-    cache: "OrderedDict[tuple[int, int], float]" = OrderedDict()
-    move, evict = cache.move_to_end, cache.popitem
-    size = requests = hits = 0
-    item_hours = 0.0
+    times, later, earlier = _reuses(blocks)
+    distance = _stack_distances(times.size, later, earlier)
+    # chain[k]: pair k is its item's first, so its earlier request is the
+    # item's first request
+    chain = np.ones(later.size, dtype=bool)
+    chain[1:] = earlier[1:] != later[:-1]
+    return [
+        _lru_ledger(times, later, earlier, distance, chain, c, costs, warmup)
+        for c in capacities
+    ]
+
+
+def _reuses(blocks: Iterable[Columns]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The joined times of a trace and its reuse pairs: request `later[k]`
+    is the next request of the item of request `earlier[k]`. Pairs are in
+    item order, then time order, so each item's pairs form one chain, and
+    they are int32 when the trace's indices fit.
+
+    Rejects a time regression or NaN as the blocks pass. It keeps each
+    block's times as they come, and writes one int64 per request,
+    (movie << 32) + ad + 2**31, to a buffer that doubles as it fills,
+    while both ids fit in int32. Those become `_item_key`'s unique keys in
+    place and are sorted in place, so no n-sized index array exists; the
+    spent keys' buffer then takes the joined times. Ids too wide for that
+    go through `by_item`.
+    """
+    parts = []
+    codes = np.empty(0, dtype=np.int64)
+    wide = None  # every block's (movies, ads), once one does not pack
+    bounds = []
+    n = 0
     last = -math.inf
     for times, movies, ads in blocks:
         if not times.size:
             continue
         _check_times(times, last)
         last = float(times[-1])
-        cut = int(np.searchsorted(times, warmup))
-        requests += times.size - cut
-        items = zip(movies.tolist(), ads.tolist())
-        # Before the warmup only the cache state counts.
-        for item in islice(items, cut):
-            if item in cache:
-                move(item)
-            else:
-                cache[item] = warmup
-                if size < capacity:
-                    size += 1
-                else:
-                    evict(last=False)
-        # From the warmup on, a miss time is its own billed start, and an
-        # eviction at exactly the warmup adds 0.0 where the engine adds nothing.
-        for t, item in zip(times[cut:].tolist(), items):
-            if item in cache:
-                move(item)
-                hits += 1
-            else:
-                cache[item] = t
-                if size < capacity:
-                    size += 1
-                else:
-                    item_hours += t - evict(last=False)[1]
-    if last > warmup:
-        for start in sorted(cache.values()):
-            item_hours += last - start
-    return CostLedger.priced(requests, hits, item_hours, costs)
+        parts.append(times)
+        end = n + times.size
+        ids = (int(movies.min()), int(ads.min()), int(movies.max()), int(ads.max()))
+        bounds.append(ids)
+        if wide is None and -(2**31) <= min(ids) and max(ids) < 2**31:
+            if end > codes.size:
+                # few copies, and the unwritten tail is never resident
+                grown = np.empty(max(end, 2 * codes.size), dtype=np.int64)
+                grown[:n] = codes[:n]
+                codes = grown
+            codes[n:end] = (movies << 32) + (ads + 2**31)
+        else:
+            if wide is None:
+                wide = [_unpack(codes[:n])]
+            wide.append((movies, ads))
+        n = end
+    index = np.int32 if n < 2**31 else np.int64
+    if n == 0:
+        return np.empty(0), np.empty(0, dtype=index), np.empty(0, dtype=index)
+    low = tuple(min(ids[i] for ids in bounds) for i in (0, 1))
+    span = _key_span(low, tuple(max(ids[i] for ids in bounds) for i in (2, 3)), n)
+    if wide is not None or span is None:
+        wide = wide or [_unpack(codes[:n])]
+        del codes
+        times = np.concatenate(parts)
+        items = by_item(Columns(times, *map(np.concatenate, zip(*wide))))
+        pairs = (items.order[1:][items.same], items.order[:-1][items.same])
+        return times, *(p.astype(index) for p in pairs)
+    codes.resize(n, refcheck=False)
+    for lo in range(0, n, _CHUNK):
+        part = codes[lo : lo + _CHUNK]
+        part[:] = _keys(*_unpack(part), low, span, lo, n)
+    codes.sort()
+    later, earlier = [], []
+    for lo in range(0, n, _CHUNK):
+        part = codes[lo : lo + _CHUNK + 1]
+        at = part % n
+        item = part // n
+        same = item[1:] == item[:-1]
+        later.append(at[1:][same].astype(index))
+        earlier.append(at[:-1][same].astype(index))
+    times = codes.view(np.float64)
+    np.concatenate(parts, out=times)
+    return times, np.concatenate(later), np.concatenate(earlier)
+
+
+def _unpack(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (movies, ads) of `_reuses`' packed ids."""
+    return codes >> 32, (codes & 0xFFFFFFFF) - 2**31
+
+
+def _stack_distances(n: int, later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """Per reuse pair, the number of distinct items requested strictly
+    between its two requests, for a trace of n requests.
+
+    That is the count of requests between them, less those whose own
+    previous request also lies between them: the pairs whose later request
+    comes before this pair's later one and whose earlier request comes
+    after this pair's earlier one.
+    """
+    by_time = np.argsort(later)
+    first = earlier[by_time]
+    between = later[by_time]
+    between -= first
+    between -= 1
+    between -= _earlier_larger(first, n)
+    distance = np.empty_like(between)
+    distance[by_time] = between
+    return distance
+
+
+def _earlier_larger(values: np.ndarray, bound: int) -> np.ndarray:
+    """For each position, how many values before it are larger; `values`
+    are distinct and in [0, bound).
+
+    A bottom-up merge sort tree: at each width w, a value in the right
+    half of an aligned run of 2w counts the larger values in the left
+    half, by one sort and one searchsorted over every run at once.
+    """
+    r = values.size
+    count = np.zeros(r, dtype=values.dtype)
+    width = 1
+    while width < r:
+        right = (np.arange(r) & width) != 0
+        key = np.arange(r) // (2 * width)
+        key *= bound
+        key += values
+        left = key[~right]
+        left.sort()
+        key = key[right]
+        below = np.searchsorted(left, key)
+        # the left halves of the runs before run b fill the first b * width
+        # sorted keys, and b = key // bound
+        key //= bound
+        key += 1
+        key *= width
+        key -= below
+        count[right] += key
+        width *= 2
+    return count
+
+
+def _lru_ledger(
+    times: np.ndarray,
+    later: np.ndarray,
+    earlier: np.ndarray,
+    distance: np.ndarray,
+    chain: np.ndarray,
+    capacity: int,
+    costs: CostModel,
+    warmup: float,
+) -> CostLedger:
+    """One capacity's ledger from `lru_ledgers`' reuse pairs and their
+    stack distances."""
+    n = times.size
+    capacity = min(capacity, n)  # a larger cache behaves the same
+    hit = distance < capacity
+    cut = int(np.searchsorted(times, warmup))
+    hits = int(np.count_nonzero(hit & (later >= cut)))
+    # A hit extends the residency its item's last miss began: a missing
+    # pair's later request, or the first request of the item.
+    anchor = np.where(chain | ~hit, np.arange(hit.size, dtype=later.dtype), 0)
+    np.maximum.accumulate(anchor, out=anchor)
+    began = np.where(hit, earlier, later)[anchor][hit]
+    hit_at = later[hit]
+    by_time = np.argsort(hit_at)
+    # ending in n, past every index, so each lookup below lands on an entry
+    hit_at = np.append(hit_at[by_time], n)
+    began = np.append(began[by_time], n)
+    # The misses are the requests not in hit_at; the last requests of the
+    # residencies, in eviction order, are those not followed by a hit.
+    miss_gaps = _gaps(hit_at[:-1])
+    last_gaps = _gaps(np.sort(earlier[hit]))
+    misses = n - miss_gaps.size
+    evictions = max(misses - capacity, 0)
+
+    def billed_start(q: np.ndarray) -> np.ndarray:
+        """The billed start, never before the warmup, of the residency whose
+        last request is the q-th earliest."""
+        end = _nth_outside(last_gaps, q)
+        k = np.searchsorted(hit_at, end)
+        start = np.where(hit_at[k] == end, began[k], end)
+        return np.maximum(times[start], warmup)
+
+    def terms():
+        for lo in range(0, evictions, _CHUNK):
+            q = np.arange(lo, min(lo + _CHUNK, evictions))
+            at = times[_nth_outside(miss_gaps, q + capacity)]
+            yield (at - billed_start(q))[at > warmup]
+        if n and times[-1] > warmup:
+            begin = np.empty(misses - evictions)
+            for lo in range(0, begin.size, _CHUNK):
+                q = np.arange(evictions + lo, min(evictions + lo + _CHUNK, misses))
+                begin[lo : lo + q.size] = billed_start(q)
+            begin.sort()
+            for lo in range(0, begin.size, _CHUNK):
+                yield times[-1] - begin[lo : lo + _CHUNK]
+
+    item_hours = 0.0
+    for chunk in terms():
+        # cumsum adds in sequence, as the engine does
+        item_hours = float(np.cumsum(np.concatenate(([item_hours], chunk)))[-1])
+    return CostLedger.priced(n - cut, hits, item_hours, costs)
+
+
+def _gaps(inside: np.ndarray) -> np.ndarray:
+    """For sorted distinct indices, how many indices not among them precede
+    each; `_nth_outside` reads it."""
+    return inside - np.arange(inside.size)
+
+
+def _nth_outside(gaps: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The q-th smallest index (from 0) not among the indices of `gaps`:
+    q plus the count of those that precede it, which are the ones with at
+    most q outside indices before them."""
+    return q + np.searchsorted(gaps, q, side="right")
 
 
 class ItemOrder(NamedTuple):
@@ -312,14 +496,28 @@ def _item_key(movies: np.ndarray, ads: np.ndarray) -> "np.ndarray | None":
     n = movies.size
     if n == 0:
         return None
-    low_movie, low_ad = int(movies.min()), int(ads.min())
-    span = int(ads.max()) - low_ad + 1
-    if (int(movies.max()) - low_movie + 1) * span * n > 2**63:
-        return None
-    key = (movies - low_movie) * span
-    key += ads - low_ad
+    low = (int(movies.min()), int(ads.min()))
+    span = _key_span(low, (int(movies.max()), int(ads.max())), n)
+    return None if span is None else _keys(movies, ads, low, span, 0, n)
+
+
+def _key_span(low: tuple[int, int], high: tuple[int, int], n: int) -> "int | None":
+    """The ad span of the item keys of n requests whose (movie, ad) ids lie
+    within [low, high], or None when such keys do not fit in int64."""
+    span = high[1] - low[1] + 1
+    return None if (high[0] - low[0] + 1) * span * n > 2**63 else span
+
+
+def _keys(
+    movies: np.ndarray, ads: np.ndarray, low: tuple[int, int], span: int, first: int, n: int
+) -> np.ndarray:
+    """`_item_key`'s keys of the requests first, first + 1, ... of n:
+    item * n + index, with item (movie - low[0]) * span + ad - low[1]."""
+    key = movies - low[0]
+    key *= span
+    key += ads - low[1]
     key *= n
-    key += np.arange(n)
+    key += np.arange(first, first + key.size)
     return key
 
 

@@ -51,7 +51,7 @@ from .engine import (
     individual_ttl_verdicts,
     known_rate_verdicts,
     lower_bound_verdicts,
-    lru_ledger,
+    lru_ledgers,
     run_length_ledger,
 )
 from .policies import LruPolicy, _check_window, count_threshold
@@ -593,10 +593,11 @@ def _run_single(
     share its trace; by default cfg is the one point. The trace streams
     through as blocks, each folded into the checksum as it passes. Every
     kind has one fast path, and the policy classes replayed by `run` are
-    its oracle. LRU streams the blocks through `lru_ledger` and takes one
-    point. Every other policy is priced from the blocks joined into
-    columns: the trace is sorted by item once, then point by point the
-    policy's verdicts come as arrays and `run_length_ledger` prices them.
+    its oracle. LRU prices every point's capacity from one stack-distance
+    pass over the blocks in `lru_ledgers`. Every other policy is priced
+    from the blocks joined into columns: the trace is sorted by item once,
+    then point by point the policy's verdicts come as arrays and
+    `run_length_ledger` prices them.
     A ledger with a non-finite dollar field is rejected; the first point
     that fails raises.
     """
@@ -614,8 +615,8 @@ def _run_single(
 
     trace = checked(build_trace(cfg, seed))
     if cfg.policy.kind == "lru":
-        [(point, _)] = points
-        ledgers = [lru_ledger(trace, point.policy.capacity, point.costs, warmup=point.warmup)]
+        capacities = [point.policy.capacity for point, _ in points]
+        ledgers = lru_ledgers(trace, capacities, cfg.costs, warmup=cfg.warmup)
     else:
         trace = columns_of(trace)
         items = by_item(trace)
@@ -749,8 +750,8 @@ def sweep(
 
     Seeds are shared across grid points, so on axes that do not touch the
     workload every point prices the identical trace per seed (the
-    trace_checksum column proves it); on the ttl and window axes that trace
-    is built, checksummed and sorted once per seed for all points. The
+    trace_checksum column proves it); on the ttl, window and capacity axes
+    that trace is built and checksummed once per seed for all points. The
     final row, seed = "argmin", repeats the grid point with the lowest mean
     cost; ties resolve to the smaller parameter value. Grid values obey the rules of the config key
     the axis sets (SWEEP_AXES).
@@ -764,10 +765,8 @@ def sweep(
     if axis == "lambda" and cfg.workload.source != "synthetic":
         raise ConfigError("a lambda sweep requires a synthetic workload")
     points = [(override(cfg, section, key, v), (axis, v)) for v in _grid(section, key, grid)]
-    # One task per seed when the axis leaves the trace alone and the kind
-    # prices from columns; LRU streams each point's trace on its own.
-    shared = section == "policy" and cfg.policy.kind != "lru"
-    rows = _run_points(points, jobs, shared=shared)
+    # One task per seed when the axis leaves the trace alone.
+    rows = _run_points(points, jobs, shared=section == "policy")
     means = (r for r in rows if r.seed == "mean")
     best = min(means, key=lambda r: (r.cost_per_request, r.param_value))
     rows.append(replace(best, seed="argmin"))

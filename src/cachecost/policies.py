@@ -7,7 +7,7 @@ bookkeeping (deadlines, sliding windows, recency); the engine owns the
 dollars. Times are hours and must be nondecreasing per policy instance.
 
 Runs price every policy through one fast path in `engine`: LRU through
-`lru_ledger`, every other policy through its columnar verdicts. These
+`lru_ledgers`, every other policy through its columnar verdicts. These
 classes, replayed by `engine.run`, are the oracle each path is tested
 against.
 """

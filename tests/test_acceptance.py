@@ -32,7 +32,7 @@ from cachecost.engine import (
     cost_per_request,
     global_ttl_verdicts,
     lower_bound_verdicts,
-    lru_ledger,
+    lru_ledgers,
     run,
     run_length_ledger,
 )
@@ -307,8 +307,8 @@ def test_lru_and_ttl_sweeps_agree_on_minimum_cost(capsys):
             items = by_item(columns_of(blocks))
             for t in ttls:
                 ttl_costs[t].append(cost_per_request(_kernel_ttl(items, t, warmup)))
-            for c in capacities:
-                cap_costs[c].append(cost_per_request(lru_ledger(blocks, c, COSTS, warmup=warmup)))
+            for c, ledger in zip(capacities, lru_ledgers(blocks, capacities, COSTS, warmup=warmup)):
+                cap_costs[c].append(cost_per_request(ledger))
         best_ttl = min(fmean(v) for v in ttl_costs.values())
         best_cap = min(fmean(v) for v in cap_costs.values())
         gaps[lam] = abs(best_cap - best_ttl) / best_ttl
@@ -330,10 +330,10 @@ def test_lru_battery_kernels_equal_the_engine(lam):
     duration, warmup, ttls, capacities = LRU_BATTERY[lam]
     blocks = list(_synthetic_blocks(default_population(lam), duration, SEEDS[0]))
     trace = list(requests_of(blocks))
-    for c in (capacities[0], capacities[-1]):
-        assert lru_ledger(blocks, c, COSTS, warmup=warmup) == run(
-            trace, LruPolicy(c), COSTS, warmup=warmup
-        ), c
+    ends = (capacities[0], capacities[-1])
+    assert lru_ledgers(blocks, ends, COSTS, warmup=warmup) == [
+        run(trace, LruPolicy(c), COSTS, warmup=warmup) for c in ends
+    ]
     items = by_item(columns_of(blocks))
     assert _kernel_ttl(items, ttls[-1], warmup) == run(
         trace, GlobalTtlPolicy(ttls[-1]), COSTS, warmup=warmup

@@ -3,29 +3,34 @@
 import math
 import re
 import struct
+import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cachecost import engine
 from cachecost.analytic import CostModel, PopulationModel, ZipfLaw
 from cachecost.engine import (
     InvariantViolation,
     Verdicts,
     _item_key,
+    _reuses,
+    _stack_distances,
     by_item,
     cost_per_request,
     global_ttl_verdicts,
     individual_ttl_verdicts,
     known_rate_verdicts,
     lower_bound_verdicts,
-    lru_ledger,
+    lru_ledgers,
     run,
     run_length_ledger,
 )
-from cachecost.experiments import _checksum
+from cachecost.experiments import _checksum, build_trace, load_config
 from cachecost.policies import (
     GlobalTtlPolicy,
     IndividualTtlPolicy,
@@ -38,6 +43,7 @@ from cachecost.policies import (
 from cachecost.presets import default_cost_model
 from cachecost.workload import BLOCK_REQUESTS, Columns, columns_of, gen_synthetic
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 COSTS = default_cost_model()
 S = COSTS.storage_per_item_hour
 C = COSTS.compute_per_item
@@ -613,7 +619,7 @@ def test_kernel_equals_the_engine_on_synthetic_traces():
             assert run_length_ledger(items, verdicts, COSTS, warmup=warmup) == want
 
 
-# --- the streamed LRU kernel against the engine ---------------------------------
+# --- the LRU stack-distance kernel against the engine ----------------------------
 
 
 def _cut(reqs, cuts):
@@ -627,26 +633,36 @@ def _cut(reqs, cuts):
 @settings(max_examples=400, deadline=None)
 @given(_kernel_cases(), st.data())
 def test_lru_ledger_equals_the_engine(case, data):
+    """One kernel call prices several capacities, each as the engine does;
+    chunks of 1, 2 or 3 steps put the chunked passes' edges everywhere."""
     reqs, warmup = case
     cuts = sorted(data.draw(st.lists(st.integers(0, len(reqs)), max_size=4)))
     distinct = len({item for _, item in reqs})
-    # 1, anything up to past the 6 items, and exactly the distinct count
-    capacity = data.draw(
-        st.one_of(st.just(1), st.integers(1, len(ITEMS) + 2), st.just(max(distinct, 1)))
-    )
-    want = run(reqs, LruPolicy(capacity), HALF_RATE, warmup=warmup)
-    assert lru_ledger(_cut(reqs, cuts), capacity, HALF_RATE, warmup=warmup) == want
+    # 1, anything up to past the 6 items, exactly the distinct count, one
+    # more, and 2**63, past int64's range
+    capacities = [
+        1,
+        *data.draw(st.lists(st.integers(1, len(ITEMS) + 2), max_size=3)),
+        max(distinct, 1),
+        distinct + 1,
+        2**63,
+    ]
+    chunk = data.draw(st.sampled_from([1, 2, 3, engine._CHUNK]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_CHUNK", chunk)
+        got = lru_ledgers(_cut(reqs, cuts), capacities, HALF_RATE, warmup=warmup)
+    assert got == [run(reqs, LruPolicy(c), HALF_RATE, warmup=warmup) for c in capacities]
 
 
 def test_lru_ledger_equals_the_engine_on_synthetic_traces():
     pm = PopulationModel(ZipfLaw(200, 0.8), ZipfLaw(10, 0.9), 150.0)
     reqs = list(gen_synthetic(pm, 150.0, seed=7))
     blocks = _blocks(reqs)
-    assert len(blocks) > 1
-    for capacity in (1, 30, 400, 10**9):
-        for warmup in (0.0, 50.0, 149.0):
-            want = run(reqs, LruPolicy(capacity), COSTS, warmup=warmup)
-            assert lru_ledger(blocks, capacity, COSTS, warmup=warmup) == want
+    assert len(blocks) > 1 and len(reqs) > engine._CHUNK
+    capacities = (1, 30, 400, 10**9)
+    for warmup in (0.0, 50.0, 149.0):
+        want = [run(reqs, LruPolicy(c), COSTS, warmup=warmup) for c in capacities]
+        assert lru_ledgers(blocks, capacities, COSTS, warmup=warmup) == want
 
 
 @pytest.mark.parametrize(
@@ -665,7 +681,7 @@ def test_lru_ledger_rejects_regression_as_the_engine_does(reqs, cuts):
     with pytest.raises(InvariantViolation, match="regression") as want:
         run(reqs, LruPolicy(2), COSTS)
     with pytest.raises(InvariantViolation, match=re.escape(str(want.value))):
-        lru_ledger(_cut(reqs, cuts), 2, COSTS)
+        lru_ledgers(_cut(reqs, cuts), [2], COSTS)
 
 
 @pytest.mark.parametrize("capacity", [0, -3, True, 2.0])
@@ -673,4 +689,86 @@ def test_lru_ledger_rejects_capacity_as_the_policy_does(capacity):
     with pytest.raises(ValueError) as want:
         LruPolicy(capacity)
     with pytest.raises(ValueError, match=re.escape(str(want.value))):
-        lru_ledger(_cut([(0.0, A)], []), capacity, COSTS)
+        lru_ledgers(_cut([(0.0, A)], []), [2, capacity], COSTS)
+
+
+def _distances(reqs, cuts=()):
+    """{later: (earlier, stack distance)} for each reuse pair of the kernel."""
+    times, later, earlier = _reuses(_cut(reqs, list(cuts)))
+    assert times.tolist() == [t for t, _ in reqs]
+    distance = _stack_distances(len(reqs), later, earlier)
+    return dict(zip(later.tolist(), zip(earlier.tolist(), distance.tolist())))
+
+
+def _brute_distances(items):
+    """The same by counting the distinct items between each pair directly."""
+    want, seen = {}, {}
+    for j, item in enumerate(items):
+        if item in seen:
+            p = seen[item]
+            want[j] = (p, len(set(items[p + 1 : j])))
+        seen[item] = j
+    return want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_traces(), st.data())
+# every id fits in int32, but item keys past int64
+@example(([0, 2**31 - 1, 0, 0], [-(2**31), 2**31 - 1, -(2**31), -1], [0.0, 1.0, 1.0, 2.0]), None)
+def test_stack_distances_count_distinct_items_between_reuses(trace, data):
+    """Against an O(n^2) count; ids near 2**63 (and ad -1 beside them) take
+    the lexsort path, small ids the packed-key path."""
+    movies, ads, times = trace
+    reqs = list(zip(times, zip(movies, ads)))
+    cuts = [] if data is None else sorted(data.draw(st.lists(st.integers(0, len(reqs)), max_size=3)))
+    chunk = 2 if data is None else data.draw(st.sampled_from([1, 2, 3, engine._CHUNK]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_CHUNK", chunk)
+        got = _distances(reqs, cuts)
+    assert got == _brute_distances([item for _, item in reqs])
+
+
+@pytest.mark.parametrize(
+    "movies, ads, sorted_by_item",
+    [
+        ([1, 2, 1], [-1, 3, -1], False),
+        ([-(2**31), 2**31 - 1, -(2**31)], [5, 5, 5], False),
+        ([7, 7, 7], [2**31 - 1, -(2**31), 2**31 - 1], False),
+        ([2**31, 1, 2**31], [1, 1, 1], True),
+        ([1, 1, 1], [-1, -(2**31) - 1, -1], True),
+        # every id fits in int32, the item keys of three requests do not
+        ([0, 2**31 - 1, 0], [-(2**31), 2**31 - 1, -(2**31)], True),
+    ],
+    ids=["small", "int32-movies", "int32-ads", "wide-movie", "wide-ad", "keys-past-int64"],
+)
+def test_reuses_sorts_by_item_only_when_ids_do_not_pack(monkeypatch, movies, ads, sorted_by_item):
+    calls = []
+
+    def counted(trace):
+        calls.append(trace)
+        return by_item(trace)
+
+    monkeypatch.setattr(engine, "by_item", counted)
+    reqs = [(float(t), item) for t, item in enumerate(zip(movies, ads))]
+    assert _distances(reqs, [1]) == _brute_distances([item for _, item in reqs])
+    assert bool(calls) == sorted_by_item
+
+
+def test_lru_pricing_memory_is_bounded():
+    # 1.5x the 4.92 MiB peak of pricing configs/lru_vs_ttl.ini's capacity
+    # grid on its seed-1 trace of 170,862 requests, generation and the key
+    # buffer's unwritten tail included; joining the blocks into columns and
+    # sorting them with by_item alone peaks at 8.7 MiB
+    cfg = load_config(CONFIGS / "lru_vs_ttl.ini")
+    np.random.default_rng(1)  # numpy.random loads on first use, not here
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        ledgers = lru_ledgers(
+            build_trace(cfg, 1), [250, 700, 1500, 3000, 6000], cfg.costs, warmup=cfg.warmup
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ledgers) == 5
+    assert peak <= 1.5 * 4.92 * 2**20

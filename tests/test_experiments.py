@@ -742,11 +742,18 @@ def test_lambda_sweep_changes_the_trace():
 def _trace_sweeps(tmp_path):
     """(config, axis, grid) of sweeps whose grid leaves the trace alone."""
     synthetic = _cfg(SMALL_SYNTH.replace("warmup = 0.0", "warmup = 5.0"))
+    lru = _cfg(
+        SMALL_SYNTH.replace("warmup = 0.0", "warmup = 5.0").replace(
+            "kind = global_ttl\nttl = 60.0", "kind = lru\ncapacity = 4"
+        )
+    )
     counts = load_config(CONFIGS / "trace_vod_ttl_sweep.ini")
     _, overlaid = _long_trace_config(tmp_path, "individual_ttl", ads=False)
     return [
         (synthetic, "ttl", [0.0, 0.7, 60.0, math.inf]),
+        (lru, "capacity", [1, 4, 40, 2**63]),
         (counts, "ttl", [0.0, 240.0, math.inf]),
+        (load_config(CONFIGS / "trace_ugc_large_capacity_sweep.ini"), "capacity", [50, 800]),
         (overlaid, "window", [740.74, 2962.96, 5000.0]),
     ]
 
@@ -765,7 +772,7 @@ def test_grouped_sweep_rows_equal_one_task_per_point_and_seed(tmp_path):
     [
         ("kind = global_ttl\nttl = 60.0", "ttl", [0.0, 60.0, 600.0], 1),
         ("kind = individual_ttl\nwindow = 100.0", "window", [100.0, 1481.48, 3000.0], 1),
-        ("kind = lru\ncapacity = 4", "capacity", [2, 8, 32], 3),
+        ("kind = lru\ncapacity = 4", "capacity", [2, 8, 32], 1),
         ("kind = global_ttl\nttl = 60.0", "lambda", [20.0, 40.0, 80.0], 3),
     ],
     ids=["ttl", "window", "lru-capacity", "lambda"],
