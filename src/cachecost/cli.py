@@ -62,7 +62,9 @@ def _add_run_args(sub: argparse.ArgumentParser) -> None:
         metavar="N",
         help="override config seeds; repeat the flag for several",
     )
-    sub.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    sub.add_argument(
+        "--jobs", type=int, default=1, help="parallel worker processes, at most one per task"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

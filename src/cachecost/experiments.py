@@ -39,11 +39,10 @@ from .analytic import (
     _mean_cost,
     _ttl_item_costs,
     _validate_ttl,
+    optimal_global_ttl,
 )
 from .engine import (
     CostLedger,
-    ItemOrder,
-    Verdicts,
     _check_warmup,
     by_item,
     cost_per_request,
@@ -91,7 +90,20 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
-POLICY_KINDS = ("global_ttl", "individual_ttl", "lower_bound", "lru", "known_rate")
+# Policy kind -> its verdicts on every request of a run, from the point's
+# config, the trace sorted by item and the true item rates (None for LRU,
+# which lru_ledgers prices); whether they read the true rates; and the
+# CLOSED_FORMS label validate compares it with (None: it has none).
+_Kind = NamedTuple("_Kind", [("verdicts", Callable), ("needs_rates", bool), ("form", str)])
+_KINDS = {
+    "global_ttl": _Kind(lambda p, i, _: global_ttl_verdicts(i, p.policy.ttl), False, "global_ttl"),
+    "individual_ttl": _Kind(lambda p, i, _: individual_ttl_verdicts(i, p.policy.window, p.costs),
+                            False, "individual_ttl"),
+    "lower_bound": _Kind(lambda p, i, _: lower_bound_verdicts(i, p.costs), False, "lower_bound"),
+    "lru": _Kind(None, False, None),
+    "known_rate": _Kind(lambda p, i, r: known_rate_verdicts(i, r, p.costs), True, "individual_ttl"),
+}
+POLICY_KINDS = tuple(_KINDS)
 WORKLOAD_SOURCES = ("synthetic", "request_trace", "count_trace")
 
 CSV_COLUMNS = (
@@ -373,9 +385,11 @@ def _build(given: "dict[str, dict]", base_dir: "str | Path | None" = None) -> Ex
         raise ConfigError("a count-trace workload requires ad_catalog and ad_exponent")
     if source == "synthetic" and cfg.population is None:
         raise ConfigError("a synthetic workload requires a [population] section")
-    if cfg.policy.kind == "known_rate" and source != "synthetic":
-        raise ConfigError("known_rate requires a synthetic workload (true rates are unknown otherwise)")
-    if cfg.policy.kind == "individual_ttl":
+    if _KINDS[cfg.policy.kind].needs_rates and source != "synthetic":
+        raise ConfigError(
+            f"{cfg.policy.kind} requires a synthetic workload (true rates are unknown otherwise)"
+        )
+    if cfg.policy.window is not None:
         try:
             count_threshold(cfg.policy.window, cfg.costs)
         except ValueError as err:
@@ -533,21 +547,6 @@ def build_trace(cfg: ExperimentConfig, seed: int) -> Iterator[Columns]:
     return overlay_ads(blocks, cfg.workload.ads, overlay_seed)
 
 
-def _verdicts(cfg: ExperimentConfig, items: ItemOrder, rates: "np.ndarray | None") -> Verdicts:
-    """The configured policy's verdicts on every request of a non-LRU run;
-    `rates` are known_rate's true item rates in trace order."""
-    kind = cfg.policy.kind
-    if kind == "global_ttl":
-        return global_ttl_verdicts(items, cfg.policy.ttl)
-    if kind == "individual_ttl":
-        return individual_ttl_verdicts(items, cfg.policy.window, cfg.costs)
-    if kind == "lower_bound":
-        return lower_bound_verdicts(items, cfg.costs)
-    if kind == "known_rate":
-        return known_rate_verdicts(items, rates, cfg.costs)
-    raise ConfigError(f"unknown policy kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class ResultRow:
     policy: str
@@ -593,11 +592,12 @@ def _run_single(
     share its trace; by default cfg is the one point. The trace streams
     through as blocks, each folded into the checksum as it passes. Every
     kind has one fast path, and the policy classes replayed by `run` are
-    its oracle. LRU prices every point's capacity from one stack-distance
-    pass over the blocks in `lru_ledgers`. Every other policy is priced
-    from the blocks joined into columns: the trace is sorted by item once,
-    then point by point the policy's verdicts come as arrays and
-    `run_length_ledger` prices them.
+    its oracle. The kind without verdicts in `_KINDS`, LRU, prices every
+    point's capacity from one stack-distance pass over the blocks in
+    `lru_ledgers`. Every other kind is priced from the blocks joined into
+    columns: the trace is sorted by item once (and its true item rates
+    taken if the kind reads them), then point by point the kind's verdicts
+    come as arrays and `run_length_ledger` prices them.
     A ledger with a non-finite dollar field is rejected; the first point
     that fails raises.
     """
@@ -613,22 +613,20 @@ def _run_single(
                 last_time = float(block.times[-1])
             yield block
 
+    verdicts, needs_rates, _ = _KINDS[cfg.policy.kind]
     trace = checked(build_trace(cfg, seed))
-    if cfg.policy.kind == "lru":
+    if verdicts is None:
         capacities = [point.policy.capacity for point, _ in points]
         ledgers = lru_ledgers(trace, capacities, cfg.costs, warmup=cfg.warmup)
     else:
         trace = columns_of(trace)
         items = by_item(trace)
-        # known_rate has no sweep axis: its one point reads the trace's ids.
-        rates = None
-        if cfg.policy.kind == "known_rate":
-            rates = cfg.population.rates(trace.movies, trace.ads)
+        # Points that share a trace share its population, so cfg's rates serve all.
+        rates = cfg.population.rates(trace.movies, trace.ads) if needs_rates else None
         del trace  # the sorted copy is all the pricing reads
         ledgers = (
-            run_length_ledger(
-                items, _verdicts(point, items, rates), point.costs, warmup=point.warmup
-            )
+            run_length_ledger(items, verdicts(point, items, rates), point.costs,
+                              warmup=point.warmup)
             for point, _ in points
         )
 
@@ -707,7 +705,7 @@ def _execute(
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(tasks) <= 1:
         return [_run_single(*task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         futures = [pool.submit(_run_single, *task) for task in tasks]
         return [f.result() for f in futures]
 
@@ -812,8 +810,9 @@ def emit_csv(
 
 
 # Closed-form evaluator -> the per-item cost of drawn item rates, given the
-# prices and the policy parameter (only global_ttl reads it: its ttl). Each
-# prices the policy kind of its name; known_rate is priced as individual_ttl.
+# prices and the policy parameter (only global_ttl reads it: its ttl).
+# individual_ttl is the known-rate ideal, which the windowed kind only
+# approaches; a `_KINDS` row names the form validate compares its kind with.
 CLOSED_FORMS = {
     "global_ttl": lambda rates, costs, ttl: _ttl_item_costs(rates, ttl, costs),
     "individual_ttl": lambda rates, costs, _: _ideal_item_costs(rates, costs),
@@ -859,9 +858,8 @@ def analytic_table(
             rows.append(("optimal_global_ttl", "ttl", best_ttl, best_ttl, best_cost))
     base_ttls = ttl_grid if ttl_grid is not None else [30.0 * k for k in range(21)]
     for lam in lambda_grid or ():
-        rates = analytic.sample_item_rates(replace(cfg.population, lambda_global=lam), cfg.mc)
-        curve = [price("global_ttl", rates, ttl) for ttl in base_ttls]
-        best_ttl, best_cost = _argmin_ttl(base_ttls, curve)
+        population = replace(cfg.population, lambda_global=lam)
+        best_ttl, best_cost = optimal_global_ttl(population, cfg.costs, cfg.mc, base_ttls)
         rows.append(("optimal_global_ttl", "lambda", lam, best_ttl, best_cost))
     return [dict(zip(ANALYTIC_COLUMNS, row)) for row in rows]
 
@@ -881,20 +879,22 @@ VALIDATION_COLUMNS = (
 def validation_report(cfg: ExperimentConfig, *, jobs: int = 1) -> list[dict]:
     """Simulate the config and compare with its closed-form counterpart.
 
-    Supported on synthetic workloads for the kinds of CLOSED_FORMS and for
-    known_rate, which is compared with individual_ttl's known-rate ideal.
-    The simulation runs first, then one draw of item rates prices the form.
+    Supported on synthetic workloads for every kind whose `_KINDS` row
+    names a CLOSED_FORMS form: each its own, but individual_ttl and
+    known_rate both the known-rate ideal. The simulation runs first, then
+    one draw of item rates prices the form. rel_err is |sim - form| / form;
+    against a form of 0 it is 0.0 for a simulated cost of 0, else inf.
     """
     if cfg.workload.source != "synthetic":
         raise ConfigError("validate requires a synthetic workload")
     kind = cfg.policy.kind
-    form = CLOSED_FORMS.get("individual_ttl" if kind == "known_rate" else kind)
+    form = _KINDS[kind].form
     if form is None:
         raise ConfigError(f"no closed-form counterpart for policy kind {kind!r}")
     mean = run_experiment(cfg, jobs=jobs)[-1]
     rates = analytic.sample_item_rates(cfg.population, cfg.mc)
-    closed_form = _mean_cost(form(rates, cfg.costs, cfg.policy.ttl), cfg.costs)
+    closed_form = _mean_cost(CLOSED_FORMS[form](rates, cfg.costs, cfg.policy.ttl), cfg.costs)
     sim, sd = mean.cost_per_request, ("" if mean.cost_sd is None else mean.cost_sd)
-    rel_err = abs(sim - closed_form) / closed_form
+    rel_err = abs(sim - closed_form) / closed_form if closed_form else (math.inf if sim else 0.0)
     row = (kind, *_policy_param(cfg), closed_form, sim, sd, rel_err, len(cfg.seeds))
     return [dict(zip(VALIDATION_COLUMNS, row))]

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import cachecost
+from cachecost.experiments import POLICY_KINDS
 
 REPO = Path(__file__).resolve().parent.parent
 ERRORS = {"ConfigError", "TraceFormatError", "InvariantViolation"}
@@ -34,3 +35,10 @@ def test_every_exported_name_imports():
     namespace: dict = {}
     exec(f"from cachecost import {', '.join(cachecost.__all__)}", namespace)
     assert set(cachecost.__all__) <= namespace.keys()
+
+
+def test_readme_policies_table_lists_exactly_the_policy_kinds():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Policies\n", 1)[1].split("\n## ", 1)[0]
+    kinds = re.findall(r"^\| `(\w+)` \|", section, re.M)
+    assert sorted(kinds) == sorted(POLICY_KINDS)

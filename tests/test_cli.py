@@ -229,6 +229,25 @@ def test_validate_reports_relative_error(config_file, capsys):
     assert float(row["rel_err"]) >= 0.0
 
 
+def test_validate_against_a_closed_form_of_zero_reports_an_infinite_error(tmp_path, capsys):
+    # One item at a rate of 1e308 under a ttl of inf: the form prices only
+    # storage at 1e-300 per hour, 0.0, while each run pays its first miss.
+    cfg = tmp_path / "zero.ini"
+    cfg.write_text(
+        "[costs]\nstorage_per_item_hour = 1e-300\ncompute_per_item = 1.0\n"
+        "transmission_per_item = 0.0\n"
+        "[population]\nmovies = 1\nmovie_exponent = 0\nads = 1\nad_exponent = 0\n"
+        "lambda = 1e308\n"
+        "[policy]\nkind = global_ttl\nttl = inf\n"
+        "[workload]\nsource = synthetic\nduration = 1e-305\n"
+        "[run]\nseeds = 1\n"
+    )
+    assert main(["validate", "--config", str(cfg)]) == EXIT_OK
+    (row,) = _rows(capsys.readouterr().out)
+    assert float(row["analytic_cost"]) == 0.0 < float(row["sim_mean"])
+    assert row["rel_err"] == "inf"
+
+
 def test_missing_config_file_is_config_error(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "absent.ini")])
     assert code == EXIT_CONFIG

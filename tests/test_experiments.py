@@ -1,5 +1,6 @@
 """Config parsing, experiment runs, sweeps and the CSV contract."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import functools
@@ -648,6 +649,33 @@ def test_run_experiment_parallel_matches_serial():
     assert run_experiment(cfg, jobs=2) == run_experiment(cfg, jobs=1)
 
 
+def test_the_pool_starts_at_most_one_worker_per_task(monkeypatch):
+    """The pool forks all its workers on the first submit, so it is sized
+    to the tasks; a stub pool records the size and runs each task inline."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            done = concurrent.futures.Future()
+            done.set_result(fn(*args))
+            return done
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    cfg = _cfg()
+    assert len(cfg.seeds) == 3
+    assert run_experiment(cfg, jobs=64) == run_experiment(cfg, jobs=1)
+    assert sizes == [3]
+
+
 def test_lower_bound_experiment_runs():
     cfg = _cfg(SMALL_SYNTH.replace("kind = global_ttl\nttl = 60.0", "kind = lower_bound"))
     rows = run_experiment(cfg)
@@ -655,22 +683,29 @@ def test_lower_bound_experiment_runs():
     assert rows[-1].param_name == ""
 
 
-@pytest.mark.parametrize(
-    "policy",
-    [
-        "kind = global_ttl\nttl = 2.0",
-        "kind = individual_ttl\nwindow = 1481.48",
-        "kind = individual_ttl\nwindow = 30.0",
-        "kind = lower_bound",
-        "kind = known_rate",
-        "kind = lru\ncapacity = 3",
-    ],
-)
+# A [policy] section per case; together they cover every kind.
+KIND_CASES = [
+    "kind = global_ttl\nttl = 2.0",
+    "kind = individual_ttl\nwindow = 1481.48",
+    "kind = individual_ttl\nwindow = 30.0",
+    "kind = lower_bound",
+    "kind = known_rate",
+    "kind = lru\ncapacity = 3",
+]
+
+
+def _kind_cfg(policy: str):
+    return _cfg(SMALL_SYNTH.replace("kind = global_ttl\nttl = 60.0", policy)
+                .replace("warmup = 0.0", "warmup = 5.0"))
+
+
+@pytest.mark.parametrize("policy", KIND_CASES)
 def test_run_rows_equal_the_engine_with_the_policy_class(policy):
     """A run prices every kind through its fast path; its rows must be the
-    ones the event engine gives with that kind's policy class."""
-    cfg = _cfg(SMALL_SYNTH.replace("kind = global_ttl\nttl = 60.0", policy)
-               .replace("warmup = 0.0", "warmup = 5.0"))
+    ones the event engine gives with that kind's policy class. A kind added
+    to the table without its oracle here fails."""
+    assert {_kind_cfg(case).policy.kind for case in KIND_CASES} == set(experiments.POLICY_KINDS)
+    cfg = _kind_cfg(policy)
     pm = cfg.population
 
     def rate_of(item):
@@ -685,6 +720,7 @@ def test_run_rows_equal_the_engine_with_the_policy_class(policy):
             "known_rate": lambda: PerfectRatePolicy(cfg.costs, rate_of),
             "lru": lambda: LruPolicy(cfg.policy.capacity),
         }
+        assert policy_of.keys() == set(experiments.POLICY_KINDS)
         ledger = run(requests, policy_of[cfg.policy.kind](), cfg.costs, warmup=cfg.warmup)
         [row] = _run_single(cfg, seed)
         assert (row.requests, row.hits) == (ledger.requests, ledger.hits)
@@ -1012,10 +1048,11 @@ def test_validation_report_compares_sim_to_closed_form():
 
 
 def test_validation_report_rejects_unsupported_setups(tmp_path):
-    with pytest.raises(ConfigError, match="closed-form"):
-        validation_report(
-            _cfg(SMALL_SYNTH.replace("kind = global_ttl\nttl = 60.0", "kind = lru\ncapacity = 10"))
-        )
+    formless = [case for case in KIND_CASES
+                if experiments._KINDS[_kind_cfg(case).policy.kind].form is None]
+    for case in formless:
+        with pytest.raises(ConfigError, match="no closed-form counterpart for policy kind"):
+            validation_report(_kind_cfg(case))
     trace = tmp_path / "t.csv"
     trace.write_text("0.0,1,1\n")
     cfg = _cfg(BASE_COSTS + f"""
