@@ -8,11 +8,13 @@ stores an item and close at the earliest of its deadline, its capacity
 eviction, or the final event of the trace. The policy classes plus `run`
 are the oracle; every kind has one fast path whose ledger is `==` theirs.
 
-Every policy but LRU decides a request from its item's own previous or
-next request. `by_item` sorts a columnar trace by item, a `*_verdicts`
-function gives the policy's verdicts for all requests at once, and
+Every fast path starts from one sort: `by_item` sorts the blocks of a
+trace stably by item as they stream. Every policy but LRU decides a
+request from its item's own previous or next request: a `*_verdicts`
+function gives the policy's verdicts for all sorted requests at once, and
 `run_length_ledger` prices them as residency runs. LRU is a stack
-algorithm (Mattson, Gecsei, Slutz and Traiger 1970), and `lru_ledgers`
+algorithm (Mattson, Gecsei, Slutz and Traiger 1970). `lru_ledgers` reads
+each item's consecutive requests in the same sort as its reuse pairs, and
 prices every capacity of a trace from two facts:
 
 - A request whose item was last requested at p hits at capacity c exactly
@@ -208,30 +210,37 @@ def _check_times(times: np.ndarray, prev: float) -> None:
         )
 
 
-# Steps of the chunked passes over a whole trace in `lru_ledgers`: they
-# bound its working memory beyond the trace's times and item keys.
+# Steps of the chunked passes over a whole trace in `by_item` and
+# `lru_ledgers`: they bound its working memory beyond the trace's times and
+# sort keys.
 _CHUNK = 1 << 13
 
 
 def lru_ledgers(
-    blocks: Iterable[Columns],
+    items: ItemOrder,
     capacities: Sequence[int],
     costs: CostModel,
     *,
     warmup: float = 0.0,
 ) -> list[CostLedger]:
     """The ledger `run` gives for `LruPolicy(c)` at each capacity c, all
-    from one pass over the blocks of a trace.
+    from one trace sorted by item.
 
-    The pass finds each request's stack distance, so every capacity's hits
-    follow at once; see the module docstring for why eviction order is
-    last-access order. Item-hours are the engine's terms in the engine's
-    order, summed in sequence: each eviction as it happens, then the items
-    still resident at the end in order of their start.
+    Its reuse pairs are each item's consecutive requests in that order:
+    request `later[k]` is the next request of the item of request
+    `earlier[k]`. They are in item order, then time order, so each item's
+    pairs form one chain. One pass finds each pair's stack distance, so
+    every capacity's hits follow at once; see the module docstring for why
+    eviction order is last-access order. Item-hours are the engine's terms
+    in the engine's order, summed in sequence: each eviction as it
+    happens, then the items still resident at the end in order of their
+    start.
     """
     capacities = [_check_int("capacity", c, 1) for c in capacities]
     warmup = _check_warmup(warmup)
-    times, later, earlier = _reuses(blocks)
+    later, earlier = items.order[1:][items.same], items.order[:-1][items.same]
+    times = np.empty_like(items.times)
+    times[items.order] = items.times
     distance = _stack_distances(times.size, later, earlier)
     # chain[k]: pair k is its item's first, so its earlier request is the
     # item's first request
@@ -243,19 +252,19 @@ def lru_ledgers(
     ]
 
 
-def _reuses(blocks: Iterable[Columns]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The joined times of a trace and its reuse pairs: request `later[k]`
-    is the next request of the item of request `earlier[k]`. Pairs are in
-    item order, then time order, so each item's pairs form one chain, and
-    they are int32 when the trace's indices fit.
+def by_item(blocks: Iterable[Columns]) -> ItemOrder:
+    """Sort a trace, given as its `Columns` blocks, stably by item;
+    rejects a time regression or NaN as the blocks pass.
 
-    Rejects a time regression or NaN as the blocks pass. It keeps each
-    block's times as they come, and writes one int64 per request,
-    (movie << 32) + ad + 2**31, to a buffer that doubles as it fills,
-    while both ids fit in int32. Those become `_item_key`'s unique keys in
-    place and are sorted in place, so no n-sized index array exists; the
-    spent keys' buffer then takes the joined times. Ids too wide for that
-    go through `by_item`.
+    It keeps each block's times as they come, and writes one int64 per
+    request, (movie << 32) + ad + 2**31, to a buffer that doubles as it
+    fills, while both ids fit in int32. In place, those become unique
+    keys, item * n + index for a trace of n requests, where item orders as
+    the (movie, ad) pair does. So one in-place sort of them gives the
+    stable order by item, key // n is the item again, and no n-sized
+    int64 index array exists; the spent keys' buffer then takes the joined
+    times. Ids too wide to pack, or keys too wide for int64, go through a
+    stable lexsort of the joined ids.
     """
     parts = []
     codes = np.empty(0, dtype=np.int64)
@@ -286,36 +295,41 @@ def _reuses(blocks: Iterable[Columns]) -> tuple[np.ndarray, np.ndarray, np.ndarr
         n = end
     index = np.int32 if n < 2**31 else np.int64
     if n == 0:
-        return np.empty(0), np.empty(0, dtype=index), np.empty(0, dtype=index)
-    low = tuple(min(ids[i] for ids in bounds) for i in (0, 1))
-    span = _key_span(low, tuple(max(ids[i] for ids in bounds) for i in (2, 3)), n)
-    if wide is not None or span is None:
-        wide = wide or [_unpack(codes[:n])]
-        del codes
+        return ItemOrder(np.empty(0, dtype=index), np.empty(0), np.empty(0, dtype=bool), 0.0)
+    m0, a0 = (min(ids[i] for ids in bounds) for i in (0, 1))
+    m1, a1 = (max(ids[i] for ids in bounds) for i in (2, 3))
+    span = a1 - a0 + 1  # the item of (movie, ad) is (movie - m0) * span + ad - a0
+    if wide is not None or (m1 - m0 + 1) * span * n > 2**63:
+        movies, ads = map(np.concatenate, zip(*(wide or [_unpack(codes[:n])])))
+        del codes, wide
+        order = np.lexsort((ads, movies)).astype(index)
+        same = np.ones(n - 1, dtype=bool)
+        for ids in (movies, ads):
+            ids = ids[order]
+            same &= ids[1:] == ids[:-1]
         times = np.concatenate(parts)
-        items = by_item(Columns(times, *map(np.concatenate, zip(*wide))))
-        pairs = (items.order[1:][items.same], items.order[:-1][items.same])
-        return times, *(p.astype(index) for p in pairs)
-    codes.resize(n, refcheck=False)
-    for lo in range(0, n, _CHUNK):
-        part = codes[lo : lo + _CHUNK]
-        part[:] = _keys(*_unpack(part), low, span, lo, n)
-    codes.sort()
-    later, earlier = [], []
-    for lo in range(0, n, _CHUNK):
-        part = codes[lo : lo + _CHUNK + 1]
-        at = part % n
-        item = part // n
-        same = item[1:] == item[:-1]
-        later.append(at[1:][same].astype(index))
-        earlier.append(at[:-1][same].astype(index))
-    times = codes.view(np.float64)
-    np.concatenate(parts, out=times)
-    return times, np.concatenate(later), np.concatenate(earlier)
+    else:
+        codes.resize(n, refcheck=False)
+        for lo in range(0, n, _CHUNK):
+            part = codes[lo : lo + _CHUNK]
+            movies, ads = _unpack(part)
+            part[:] = ((movies - m0) * span + ads - a0) * n + np.arange(lo, lo + part.size)
+        codes.sort()
+        order = np.empty(n, dtype=index)
+        same = np.empty(n - 1, dtype=bool)
+        for lo in range(0, n, _CHUNK):
+            part = codes[lo : lo + _CHUNK + 1]
+            order[lo : lo + _CHUNK] = part[:_CHUNK] % n
+            item = part // n
+            same[lo : lo + _CHUNK] = item[1:] == item[:-1]
+        times = codes.view(np.float64)
+        np.concatenate(parts, out=times)
+    del parts
+    return ItemOrder(order, times[order], same, last)
 
 
 def _unpack(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (movies, ads) of `_reuses`' packed ids."""
+    """The (movies, ads) of `by_item`'s packed ids."""
     return codes >> 32, (codes & 0xFFFFFFFF) - 2**31
 
 
@@ -450,7 +464,7 @@ class ItemOrder(NamedTuple):
     """A trace sorted stably by (movie, ad): each item's requests are
     consecutive and in time order. Built by `by_item`."""
 
-    order: np.ndarray  # trace index of each sorted request
+    order: np.ndarray  # trace index of each sorted request; int32 while n < 2**31
     times: np.ndarray  # their times
     same: np.ndarray  # same[k]: sorted requests k and k + 1 are one item
     t_end: float
@@ -463,62 +477,6 @@ class Verdicts(NamedTuple):
     stored: np.ndarray
     until: np.ndarray
     hit: np.ndarray
-
-
-def by_item(trace: Columns) -> ItemOrder:
-    """Sort a time-ordered trace by item; rejects a time regression or NaN."""
-    times = trace.times
-    n = times.size
-    _check_times(times, -math.inf)
-    key = _item_key(trace.movies, trace.ads)
-    if key is None:
-        order = np.lexsort((trace.ads, trace.movies))
-        same = np.ones(max(n - 1, 0), dtype=bool)
-        for ids in (trace.movies, trace.ads):
-            ids = ids[order]
-            same &= ids[1:] == ids[:-1]
-    else:
-        order = np.argsort(key)
-        key = key[order]
-        key //= n
-        same = key[1:] == key[:-1]
-    return ItemOrder(order, times[order], same, float(times[-1]) if n else 0.0)
-
-
-def _item_key(movies: np.ndarray, ads: np.ndarray) -> "np.ndarray | None":
-    """One distinct int64 per request, item * n + index, where item orders
-    as the (movie, ad) pair does and n is the trace length; or None when
-    the trace is empty or such keys do not fit in int64.
-
-    The keys are unique, so any sort of them gives the stable order by
-    item, and key // n is the item again.
-    """
-    n = movies.size
-    if n == 0:
-        return None
-    low = (int(movies.min()), int(ads.min()))
-    span = _key_span(low, (int(movies.max()), int(ads.max())), n)
-    return None if span is None else _keys(movies, ads, low, span, 0, n)
-
-
-def _key_span(low: tuple[int, int], high: tuple[int, int], n: int) -> "int | None":
-    """The ad span of the item keys of n requests whose (movie, ad) ids lie
-    within [low, high], or None when such keys do not fit in int64."""
-    span = high[1] - low[1] + 1
-    return None if (high[0] - low[0] + 1) * span * n > 2**63 else span
-
-
-def _keys(
-    movies: np.ndarray, ads: np.ndarray, low: tuple[int, int], span: int, first: int, n: int
-) -> np.ndarray:
-    """`_item_key`'s keys of the requests first, first + 1, ... of n:
-    item * n + index, with item (movie - low[0]) * span + ad - low[1]."""
-    key = movies - low[0]
-    key *= span
-    key += ads - low[1]
-    key *= n
-    key += np.arange(first, first + key.size)
-    return key
 
 
 def _after(same: np.ndarray, flags: np.ndarray) -> np.ndarray:

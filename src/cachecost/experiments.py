@@ -60,7 +60,6 @@ from .workload import (
     TraceFormatError,
     _check_duration,
     _synthetic_blocks,
-    columns_of,
     overlay_ads,
     parse_count_trace,
     parse_request_trace,
@@ -531,13 +530,18 @@ def build_trace(cfg: ExperimentConfig, seed: int) -> Iterator[Columns]:
             records = subsample_records(records, cfg.workload.subsample, sub_seed)
         blocks = synthesize_from_counts(records, synth_seed)
     else:
-        # request trace: overlay only when the file carries no ad ids
+        # request trace: an overlay exactly when the file carries no ad ids
         blocks = parse_request_trace(_file_lines(cfg.workload.path))
         first = next(blocks, None)
         if first is None:
             return iter(())
         blocks = chain([first], blocks)
         if first.ads[0] != -1:
+            if cfg.workload.ads is not None:
+                raise TraceFormatError(
+                    "trace has ad ids and an ad overlay is configured "
+                    "(drop workload.ad_catalog and workload.ad_exponent)"
+                )
             return blocks
         if cfg.workload.ads is None:
             raise TraceFormatError(
@@ -590,40 +594,36 @@ def _run_single(
 
     The points differ from cfg at most in the policy parameter, so they
     share its trace; by default cfg is the one point. The trace streams
-    through as blocks, each folded into the checksum as it passes. Every
-    kind has one fast path, and the policy classes replayed by `run` are
-    its oracle. The kind without verdicts in `_KINDS`, LRU, prices every
-    point's capacity from one stack-distance pass over the blocks in
-    `lru_ledgers`. Every other kind is priced from the blocks joined into
-    columns: the trace is sorted by item once (and its true item rates
-    taken if the kind reads them), then point by point the kind's verdicts
-    come as arrays and `run_length_ledger` prices them.
-    A ledger with a non-finite dollar field is rejected; the first point
-    that fails raises.
+    through as blocks, each folded into the checksum as it passes, and
+    `by_item` sorts it by item. Every kind has one fast path, and the
+    policy classes replayed by `run` are its oracle. The kind without
+    verdicts in `_KINDS`, LRU, prices every point's capacity from one
+    stack-distance pass in `lru_ledgers`. Every other kind gives its
+    verdicts as arrays point by point, and `run_length_ledger` prices
+    them; a kind that reads the true item rates takes them block by block
+    as the blocks pass. A ledger with a non-finite dollar field is
+    rejected; the first point that fails raises.
     """
     if points is None:
         points = [(cfg, _policy_param(cfg))]
-    crc, last_time = 0, None
+    verdicts, needs_rates, _ = _KINDS[cfg.policy.kind]
+    crc, rates = 0, []
 
     def checked(blocks: Iterator[Columns]) -> Iterator[Columns]:
-        nonlocal crc, last_time
+        nonlocal crc
         for block in blocks:
             crc = _checksum(block, crc)
-            if block.times.size:
-                last_time = float(block.times[-1])
+            if needs_rates:
+                # Points that share a trace share its population, so cfg's rates serve all.
+                rates.append(cfg.population.rates(block.movies, block.ads))
             yield block
 
-    verdicts, needs_rates, _ = _KINDS[cfg.policy.kind]
-    trace = checked(build_trace(cfg, seed))
+    items = by_item(checked(build_trace(cfg, seed)))
     if verdicts is None:
         capacities = [point.policy.capacity for point, _ in points]
-        ledgers = lru_ledgers(trace, capacities, cfg.costs, warmup=cfg.warmup)
+        ledgers = lru_ledgers(items, capacities, cfg.costs, warmup=cfg.warmup)
     else:
-        trace = columns_of(trace)
-        items = by_item(trace)
-        # Points that share a trace share its population, so cfg's rates serve all.
-        rates = cfg.population.rates(trace.movies, trace.ads) if needs_rates else None
-        del trace  # the sorted copy is all the pricing reads
+        rates = np.concatenate(rates) if rates else None
         ledgers = (
             run_length_ledger(items, verdicts(point, items, rates), point.costs,
                               warmup=point.warmup)
@@ -632,11 +632,11 @@ def _run_single(
 
     def row(point: ExperimentConfig, param: tuple, ledger: CostLedger) -> ResultRow:
         if ledger.requests == 0:
-            if last_time is None:
+            if not items.times.size:
                 raise TraceFormatError("the trace holds no requests")
             raise ConfigError(
                 f"run.warmup ({point.warmup!r}) lies past the last request of the trace "
-                f"(at {last_time!r} h); no request is priced"
+                f"(at {items.t_end!r} h); no request is priced"
             )
         dollars = {
             "compute_d": ledger.compute_dollars,

@@ -2,12 +2,13 @@
 
 A trace is time-ordered, with timestamps in hours from an arbitrary zero.
 Every producer streams it as `Columns` blocks: parallel arrays of times,
-movie ids and ad ids, with an unassigned ad stored as -1. `columns_of`
-joins the blocks for vectorized pricing. One request on its own is a plain
-pair `(time, (movie, ad))`: `requests_of` turns blocks into such pairs for
-the event engine. Only the count-trace synthesizer, which sorts all its
-arrivals at once, and a caller that joins or lists the blocks hold a whole
-trace.
+movie ids and ad ids, with an unassigned ad stored as -1. Pricing sorts
+the blocks by item as they stream (`engine.by_item`); `columns_of` joins
+them into one `Columns` for a caller that wants the whole trace. One
+request on its own is a plain pair `(time, (movie, ad))`: `requests_of`
+turns blocks into such pairs for the event engine. Only the count-trace
+synthesizer, which sorts all its arrivals at once, the sort by item and a
+caller that joins or lists the blocks hold a whole trace.
 
 Two text formats are supported, both UTF-8, comma separated, with `#`
 comment lines and `.` as the decimal point. Each field is read by Python's

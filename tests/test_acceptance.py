@@ -51,7 +51,6 @@ from cachecost.presets import (
 )
 from cachecost.workload import (
     _synthetic_blocks,
-    columns_of,
     gen_synthetic,
     parse_count_trace,
     requests_of,
@@ -94,10 +93,10 @@ def _mean_cost(trace, policy, warmup: float) -> float:
     return cost_per_request(run(trace, policy, COSTS, warmup=warmup))
 
 
-def _kernel_floor(columns, warmup: float = 0.0):
+def _kernel_floor(blocks, warmup: float = 0.0):
     """The clairvoyant floor priced as a run is: sorted by item, verdicts as
     arrays, then the run-length kernel."""
-    items = by_item(columns)
+    items = by_item(blocks)
     return run_length_ledger(items, lower_bound_verdicts(items, COSTS), COSTS, warmup=warmup)
 
 
@@ -166,8 +165,8 @@ def test_simulated_costs_match_closed_form(capsys):
         floor_costs = []
         for seed in SEEDS:
             trace = _materialize(lam, duration, seed)
-            columns = columns_of(_synthetic_blocks(pm, duration, seed))
-            items = by_item(columns)
+            blocks = list(_synthetic_blocks(pm, duration, seed))
+            items = by_item(blocks)
             for ttl in FIXED_TTLS:
                 ledger = run(trace, GlobalTtlPolicy(ttl), COSTS, warmup=warmup)
                 verdicts = global_ttl_verdicts(items, ttl)
@@ -177,7 +176,7 @@ def test_simulated_costs_match_closed_form(capsys):
                 ttl_costs[ttl].append(cost_per_request(ledger))
             floor = LowerBoundPolicy(COSTS, next_request_times(trace))
             ledger = run(trace, floor, COSTS, warmup=warmup)
-            if _kernel_floor(columns, warmup) != ledger:
+            if _kernel_floor(blocks, warmup) != ledger:
                 floor_mismatches.append((lam, seed))
             fewest_requests = min(fewest_requests, ledger.requests)
             floor_costs.append(cost_per_request(ledger))
@@ -303,11 +302,10 @@ def test_lru_and_ttl_sweeps_agree_on_minimum_cost(capsys):
         ttl_costs = {t: [] for t in ttls}
         cap_costs = {c: [] for c in capacities}
         for seed in SEEDS:
-            blocks = list(_synthetic_blocks(default_population(lam), duration, seed))
-            items = by_item(columns_of(blocks))
+            items = by_item(_synthetic_blocks(default_population(lam), duration, seed))
             for t in ttls:
                 ttl_costs[t].append(cost_per_request(_kernel_ttl(items, t, warmup)))
-            for c, ledger in zip(capacities, lru_ledgers(blocks, capacities, COSTS, warmup=warmup)):
+            for c, ledger in zip(capacities, lru_ledgers(items, capacities, COSTS, warmup=warmup)):
                 cap_costs[c].append(cost_per_request(ledger))
         best_ttl = min(fmean(v) for v in ttl_costs.values())
         best_cap = min(fmean(v) for v in cap_costs.values())
@@ -331,10 +329,10 @@ def test_lru_battery_kernels_equal_the_engine(lam):
     blocks = list(_synthetic_blocks(default_population(lam), duration, SEEDS[0]))
     trace = list(requests_of(blocks))
     ends = (capacities[0], capacities[-1])
-    assert lru_ledgers(blocks, ends, COSTS, warmup=warmup) == [
+    items = by_item(blocks)
+    assert lru_ledgers(items, ends, COSTS, warmup=warmup) == [
         run(trace, LruPolicy(c), COSTS, warmup=warmup) for c in ends
     ]
-    items = by_item(columns_of(blocks))
     assert _kernel_ttl(items, ttls[-1], warmup) == run(
         trace, GlobalTtlPolicy(ttls[-1]), COSTS, warmup=warmup
     )
@@ -480,7 +478,7 @@ def test_clairvoyant_floor_matches_gap_scan_oracle(capsys):
         )
         trace = list(gen_synthetic(pm, 1000.0 / lam, seed=trial))
         ledger = run(trace, LowerBoundPolicy(COSTS, next_request_times(trace)), COSTS)
-        if _kernel_floor(columns_of(_synthetic_blocks(pm, 1000.0 / lam, trial))) != ledger:
+        if _kernel_floor(_synthetic_blocks(pm, 1000.0 / lam, trial)) != ledger:
             kernel_mismatches.append(trial)
         want = _gap_scan_price(trace)
         worst = max(worst, abs(ledger.total_dollars - want) / want)

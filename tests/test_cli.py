@@ -2,6 +2,7 @@
 
 import csv
 import io
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -399,6 +400,30 @@ def test_trace_without_requests_exits_with_trace_code(tmp_path, capsys):
     assert capsys.readouterr().err == "trace error: the trace holds no requests\n"
 
 
+@pytest.mark.parametrize(
+    "data, overlay, message",
+    [
+        (b"0.0,1,2\n1.0,2,1\n", True, "trace has ad ids and an ad overlay is configured "
+         "(drop workload.ad_catalog and workload.ad_exponent)"),
+        (b"0.0,1\n1.0,2\n", False, "trace has no ad ids and no ad overlay is configured "
+         "(set workload.ad_catalog and workload.ad_exponent)"),
+    ],
+    ids=["ad-ids-and-overlay", "neither"],
+)
+def test_request_trace_takes_ad_ids_from_the_file_or_the_overlay(
+    tmp_path, capsys, data, overlay, message
+):
+    trace = tmp_path / "t.csv"
+    trace.write_bytes(data)
+    cfg = tmp_path / "t.ini"
+    text = TRACE_CONFIG.format(policy="kind = global_ttl\nttl = 60.0", path=trace, warmup=0.0)
+    if overlay:
+        text = text.replace("[run]", "ad_catalog = 5\nad_exponent = 0.9\n\n[run]")
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg)]) == EXIT_TRACE
+    assert capsys.readouterr().err == f"trace error: {message}\n"
+
+
 def _trace_run(tmp_path, source, data, out=None):
     trace = tmp_path / "t.csv"
     trace.write_bytes(data)
@@ -610,8 +635,11 @@ def test_unknown_subcommand_exits_via_argparse(config_file):
 
 
 def test_console_entry_point_is_wired():
+    # the package need not be installed: the child imports it from src/
+    src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-c", "from cachecost.cli import main; raise SystemExit(main(['--help']))"],
+        env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
     )

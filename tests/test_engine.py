@@ -17,8 +17,6 @@ from cachecost.analytic import CostModel, PopulationModel, ZipfLaw
 from cachecost.engine import (
     InvariantViolation,
     Verdicts,
-    _item_key,
-    _reuses,
     _stack_distances,
     by_item,
     cost_per_request,
@@ -314,7 +312,7 @@ def _engine_global_ttl(reqs, ttl, warmup=0.0):
 
 
 def _columnar_global_ttl(reqs, ttl, warmup=0.0):
-    items = by_item(columns_of(_blocks(reqs)))
+    items = by_item(_blocks(reqs))
     return run_length_ledger(items, global_ttl_verdicts(items, ttl), COSTS, warmup=warmup)
 
 
@@ -336,26 +334,41 @@ def test_nan_or_regressing_time_is_rejected(price, pairs):
 # --- the sort by item -----------------------------------------------------------
 
 
-def _lexsort_check(movies, ads, times=None):
-    """`by_item`'s order and same-item flags equal those of a stable lexsort;
-    returns whether it sorted by the unique int64 key, not by lexsort."""
+def _split(whole, cuts):
+    """A `Columns` trace as blocks split at the sorted indices `cuts`; a
+    repeated cut or one at either end leaves a block empty."""
+    bounds = [0, *cuts, len(whole.times)]
+    return [Columns(*(a[lo:hi] for a in whole)) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _lexsort_check(movies, ads, times=None, cuts=(), chunk=None):
+    """`by_item` over the trace cut into blocks at `cuts`, with `_CHUNK`
+    patched to `chunk`, gives the order, sorted times and same-item flags
+    of a stable lexsort of the joined trace. It lexsorts exactly when the
+    ids do not pack into int32 or their keys do not fit in int64; returns
+    whether it sorted by those keys."""
     n = len(movies)
     trace = Columns(
         np.arange(n, dtype=np.float64) if times is None else np.array(times, dtype=np.float64),
         np.array(movies, dtype=np.int64),
         np.array(ads, dtype=np.int64),
     )
-    items = by_item(trace)
     want = np.lexsort((trace.ads, trace.movies))
+    lexsorts = []
+    lexsort = np.lexsort
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "lexsort", lambda keys: lexsorts.append(keys) or lexsort(keys))
+        patch.setattr(engine, "_CHUNK", chunk or engine._CHUNK)
+        items = by_item(_split(trace, cuts))
     assert items.order.tolist() == want.tolist()
     assert items.times.tolist() == trace.times[want].tolist()
     pairs = list(zip(trace.movies[want].tolist(), trace.ads[want].tolist()))
     assert items.same.tolist() == [a == b for a, b in zip(pairs, pairs[1:])]
-    keyed = bool(n) and (max(movies) - min(movies) + 1) * (max(ads) - min(ads) + 1) * n <= 2**63
-    key = _item_key(trace.movies, trace.ads)
-    assert (key is not None) == keyed
-    if keyed:
-        assert np.unique(key).size == n
+    assert items.t_end == (trace.times[-1] if n else 0.0)
+    packs = all(-(2**31) <= i < 2**31 for i in [*movies, *ads])
+    items_span = (max(movies) - min(movies) + 1) * (max(ads) - min(ads) + 1) if n else 0
+    keyed = bool(n) and packs and items_span * n <= 2**63
+    assert bool(lexsorts) == (bool(n) and not keyed)
     return keyed
 
 
@@ -367,28 +380,39 @@ BIG = 2**63 - 1
     [
         # ties on both ids, ad -1 beside drawn ads, movies out of order
         ([5, 2, 5, 2, 2, 5, 9, 2, 5], [-1, 3, -1, -1, 3, 7, -1, 3, -1], True),
-        # 2 movies x 2**60 ads x 4 requests: the largest key is 2**63 - 1
-        ([2, 1, 2, 1], [1, 2**60, 2**60, 1], True),
+        # 2**32 movies x 2**30 ads x 2 requests: the largest key is 2**63 - 1
+        ([-(2**31), 2**31 - 1], [0, 2**30 - 1], True),
         # one ad more and the keys pass the int64 limit
-        ([2, 1, 2, 1], [1, 2**60 + 1, 2**60 + 1, 1], False),
+        ([-(2**31), 2**31 - 1], [0, 2**30], False),
         ([BIG, 1, BIG, 1, 1], [-1, BIG, -1, -1, BIG], False),
         ([], [], False),
         # the items alone fit in int64, but not times the trace length
-        ([2**31, 1, 2**31, 1], [1, 2**31, 1, 2**31], False),
+        ([2**31 - 1, 1, 2**31 - 1, 1], [1, 2**31 - 1, 1, 2**31 - 1], False),
+        # few items, but ids that do not pack into int32
+        ([2, 1, 2, 1], [1, 2**60, 2**60, 1], False),
     ],
-    ids=["ties", "at-limit", "past-limit", "largest-ids", "empty", "past-limit-by-length"],
+    ids=["ties", "at-limit", "past-limit", "largest-ids", "empty", "past-limit-by-length",
+         "wide-ids"],
 )
 def test_by_item_orders_as_lexsort(movies, ads, keyed):
     assert _lexsort_check(movies, ads) == keyed
 
 
-_IDS = st.sampled_from([1, 2, 3, 2**31, 2**62, BIG])
+_IDS = st.sampled_from([1, 2, 3, 2**31 - 1, 2**31, 2**62, BIG])
+
+
+def _blocking(data, n):
+    """Random block cuts of an n-request trace, empty blocks included, and
+    a `_CHUNK` of 1, 2, 3 or its default."""
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4)))
+    return cuts, data.draw(st.sampled_from([1, 2, 3, engine._CHUNK]))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(_IDS, st.one_of(st.just(-1), _IDS)), max_size=40))
-def test_by_item_orders_as_lexsort_on_any_ids(pairs):
-    _lexsort_check([m for m, _ in pairs], [a for _, a in pairs])
+@given(st.lists(st.tuples(_IDS, st.one_of(st.just(-1), _IDS)), max_size=40), st.data())
+def test_by_item_orders_as_lexsort_on_any_ids(pairs, data):
+    cuts, chunk = _blocking(data, len(pairs))
+    _lexsort_check([m for m, _ in pairs], [a for _, a in pairs], cuts=cuts, chunk=chunk)
 
 
 @st.composite
@@ -405,9 +429,10 @@ def _tied_traces(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_tied_traces())
-def test_by_item_orders_as_lexsort_on_tied_traces(trace):
-    _lexsort_check(*trace)
+@given(_tied_traces(), st.data())
+def test_by_item_orders_as_lexsort_on_tied_traces(trace, data):
+    cuts, chunk = _blocking(data, len(trace[0]))
+    _lexsort_check(*trace, cuts=cuts, chunk=chunk)
 
 
 # --- columnar global TTL against the engine as oracle --------------------------
@@ -521,7 +546,7 @@ def _kernel_cases(draw):
 
 
 def _kernel_ledger(reqs, verdicts_of, warmup):
-    items = by_item(columns_of(_blocks(reqs)))
+    items = by_item(_blocks(reqs))
     return run_length_ledger(items, verdicts_of(items), HALF_RATE, warmup=warmup)
 
 
@@ -548,7 +573,7 @@ def test_kernel_equals_the_engine_on_any_valid_verdicts(case, data):
         def on_request(self, item, now):
             return next(self._verdicts)
 
-    items = by_item(columns_of(_blocks(reqs)))
+    items = by_item(_blocks(reqs))
     # NaN where nothing is stored: the kernel must never read it
     verdicts = Verdicts(
         np.array([v.store_until is not None for v in script], dtype=bool)[items.order],
@@ -598,7 +623,7 @@ def test_kernel_known_rate_equals_the_engine(case, item_rates):
 def test_kernel_equals_the_engine_on_synthetic_traces():
     pm = PopulationModel(ZipfLaw(200, 0.8), ZipfLaw(10, 0.9), 150.0)
     reqs = list(gen_synthetic(pm, 150.0, seed=7))
-    items = by_item(columns_of(_blocks(reqs)))
+    items = by_item(_blocks(reqs))
     movie_p, ad_p = pm.movies.probabilities, pm.ads.probabilities
 
     def rate_of(item):
@@ -625,9 +650,7 @@ def test_kernel_equals_the_engine_on_synthetic_traces():
 def _cut(reqs, cuts):
     """`(time, (movie, ad))` pairs as `Columns` blocks split at the sorted
     indices `cuts`; a repeated cut or one at either end leaves a block empty."""
-    whole = columns_of(_blocks(reqs))
-    bounds = [0, *cuts, len(reqs)]
-    return [Columns(*(a[lo:hi] for a in whole)) for lo, hi in zip(bounds, bounds[1:])]
+    return _split(columns_of(_blocks(reqs)), cuts)
 
 
 @settings(max_examples=400, deadline=None)
@@ -650,7 +673,7 @@ def test_lru_ledger_equals_the_engine(case, data):
     chunk = data.draw(st.sampled_from([1, 2, 3, engine._CHUNK]))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "_CHUNK", chunk)
-        got = lru_ledgers(_cut(reqs, cuts), capacities, HALF_RATE, warmup=warmup)
+        got = lru_ledgers(by_item(_cut(reqs, cuts)), capacities, HALF_RATE, warmup=warmup)
     assert got == [run(reqs, LruPolicy(c), HALF_RATE, warmup=warmup) for c in capacities]
 
 
@@ -662,7 +685,7 @@ def test_lru_ledger_equals_the_engine_on_synthetic_traces():
     capacities = (1, 30, 400, 10**9)
     for warmup in (0.0, 50.0, 149.0):
         want = [run(reqs, LruPolicy(c), COSTS, warmup=warmup) for c in capacities]
-        assert lru_ledgers(blocks, capacities, COSTS, warmup=warmup) == want
+        assert lru_ledgers(by_item(blocks), capacities, COSTS, warmup=warmup) == want
 
 
 @pytest.mark.parametrize(
@@ -681,7 +704,7 @@ def test_lru_ledger_rejects_regression_as_the_engine_does(reqs, cuts):
     with pytest.raises(InvariantViolation, match="regression") as want:
         run(reqs, LruPolicy(2), COSTS)
     with pytest.raises(InvariantViolation, match=re.escape(str(want.value))):
-        lru_ledgers(_cut(reqs, cuts), [2], COSTS)
+        lru_ledgers(by_item(_cut(reqs, cuts)), [2], COSTS)
 
 
 @pytest.mark.parametrize("capacity", [0, -3, True, 2.0])
@@ -689,13 +712,14 @@ def test_lru_ledger_rejects_capacity_as_the_policy_does(capacity):
     with pytest.raises(ValueError) as want:
         LruPolicy(capacity)
     with pytest.raises(ValueError, match=re.escape(str(want.value))):
-        lru_ledgers(_cut([(0.0, A)], []), [2, capacity], COSTS)
+        lru_ledgers(by_item(_cut([(0.0, A)], [])), [2, capacity], COSTS)
 
 
 def _distances(reqs, cuts=()):
-    """{later: (earlier, stack distance)} for each reuse pair of the kernel."""
-    times, later, earlier = _reuses(_cut(reqs, list(cuts)))
-    assert times.tolist() == [t for t, _ in reqs]
+    """{later: (earlier, stack distance)} for each reuse pair of the kernel:
+    each item's consecutive requests in `by_item`'s order."""
+    items = by_item(_cut(reqs, list(cuts)))
+    later, earlier = items.order[1:][items.same], items.order[:-1][items.same]
     distance = _stack_distances(len(reqs), later, earlier)
     return dict(zip(later.tolist(), zip(earlier.tolist(), distance.tolist())))
 
@@ -729,7 +753,7 @@ def test_stack_distances_count_distinct_items_between_reuses(trace, data):
 
 
 @pytest.mark.parametrize(
-    "movies, ads, sorted_by_item",
+    "movies, ads, lexsorted",
     [
         ([1, 2, 1], [-1, 3, -1], False),
         ([-(2**31), 2**31 - 1, -(2**31)], [5, 5, 5], False),
@@ -741,31 +765,27 @@ def test_stack_distances_count_distinct_items_between_reuses(trace, data):
     ],
     ids=["small", "int32-movies", "int32-ads", "wide-movie", "wide-ad", "keys-past-int64"],
 )
-def test_reuses_sorts_by_item_only_when_ids_do_not_pack(monkeypatch, movies, ads, sorted_by_item):
-    calls = []
-
-    def counted(trace):
-        calls.append(trace)
-        return by_item(trace)
-
-    monkeypatch.setattr(engine, "by_item", counted)
+def test_reuses_sorts_by_item_only_when_ids_do_not_pack(movies, ads, lexsorted):
+    """The reuse pairs come from the packed-key sort, or from a lexsort
+    exactly when the ids or their keys do not pack."""
+    assert (not _lexsort_check(movies, ads, cuts=[1])) == lexsorted
     reqs = [(float(t), item) for t, item in enumerate(zip(movies, ads))]
     assert _distances(reqs, [1]) == _brute_distances([item for _, item in reqs])
-    assert bool(calls) == sorted_by_item
 
 
 def test_lru_pricing_memory_is_bounded():
-    # 1.5x the 4.92 MiB peak of pricing configs/lru_vs_ttl.ini's capacity
-    # grid on its seed-1 trace of 170,862 requests, generation and the key
-    # buffer's unwritten tail included; joining the blocks into columns and
-    # sorting them with by_item alone peaks at 8.7 MiB
+    # 1.5x 4.92 MiB, the peak of pricing configs/lru_vs_ttl.ini's capacity
+    # grid on its seed-1 trace of 170,862 requests when LRU packed its own
+    # reuse pairs. Through by_item, as a run prices it, the peak is
+    # 5.98 MiB, generation and the key buffer's unwritten tail included.
     cfg = load_config(CONFIGS / "lru_vs_ttl.ini")
     np.random.default_rng(1)  # numpy.random loads on first use, not here
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
         ledgers = lru_ledgers(
-            build_trace(cfg, 1), [250, 700, 1500, 3000, 6000], cfg.costs, warmup=cfg.warmup
+            by_item(build_trace(cfg, 1)), [250, 700, 1500, 3000, 6000], cfg.costs,
+            warmup=cfg.warmup,
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:

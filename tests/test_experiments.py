@@ -694,16 +694,28 @@ KIND_CASES = [
 ]
 
 
-def _kind_cfg(policy: str):
-    return _cfg(SMALL_SYNTH.replace("kind = global_ttl\nttl = 60.0", policy)
+def _kind_cfg(policy: str, text: str = SMALL_SYNTH):
+    return _cfg(text.replace("kind = global_ttl\nttl = 60.0", policy)
                 .replace("warmup = 0.0", "warmup = 5.0"))
+
+
+# SMALL_SYNTH's trace, about 1,200 requests, fits in one 8192-arrival
+# synthetic block; this one's, about 24,000, spans three. Its storage price
+# puts the break-even rate, S/C = 0.1/h, among the item rates, so known_rate
+# keeps about three quarters of the requests' items and drops the rest.
+LONG_SYNTH = (
+    SMALL_SYNTH.replace("duration = 30.0", "duration = 600.0")
+    .replace("seeds = 1,2,3", "seeds = 4")
+    .replace("storage_per_item_hour = 4.86e-7", "storage_per_item_hour = 7.2e-5")
+)
 
 
 @pytest.mark.parametrize("policy", KIND_CASES)
 def test_run_rows_equal_the_engine_with_the_policy_class(policy):
     """A run prices every kind through its fast path; its rows must be the
-    ones the event engine gives with that kind's policy class. A kind added
-    to the table without its oracle here fails."""
+    ones the event engine gives with that kind's policy class, also on a
+    trace whose blocks it sorts and takes rates from across block edges.
+    A kind added to the table without its oracle here fails."""
     assert {_kind_cfg(case).policy.kind for case in KIND_CASES} == set(experiments.POLICY_KINDS)
     cfg = _kind_cfg(policy)
     pm = cfg.population
@@ -711,7 +723,8 @@ def test_run_rows_equal_the_engine_with_the_policy_class(policy):
     def rate_of(item):
         return pm.rates(*item)
 
-    for seed in cfg.seeds:
+    long_cfg = _kind_cfg(policy, LONG_SYNTH)
+    for cfg, seed in [(cfg, seed) for cfg in (cfg, long_cfg) for seed in cfg.seeds]:
         requests = _requests(cfg, seed)
         policy_of = {
             "global_ttl": lambda: GlobalTtlPolicy(cfg.policy.ttl),
@@ -728,6 +741,7 @@ def test_run_rows_equal_the_engine_with_the_policy_class(policy):
         assert (row.compute_d, row.storage_d, row.transmission_d) == (
             ledger.compute_dollars, ledger.storage_dollars, ledger.transmission_dollars
         )
+    assert len(requests) > 2 * 8192  # the long trace spans three blocks
 
 
 def test_sweep_layout_and_argmin():
