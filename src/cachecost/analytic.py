@@ -118,6 +118,10 @@ def harmonic(n: int, s: float) -> float:
 
 _CHUNK = 1 << 15  # uniforms per guide-table pass in `ZipfLaw._ranks`
 
+# Most ranks of one Zipf law. Its pmf, cdf and padded guide cdf hold 24
+# bytes per rank, and building them peaks near 32, so about 3 GB at this limit.
+MAX_CATALOG = 10**8
+
 
 @dataclass(frozen=True)
 class ZipfLaw:
@@ -138,7 +142,7 @@ class ZipfLaw:
     s: float
 
     def __post_init__(self) -> None:
-        n = _check_int("catalog size", self.n, 1)
+        n = _check_int("catalog size", self.n, 1, MAX_CATALOG)
         s = _check_real("exponent", self.s, 0)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "s", s)

@@ -139,7 +139,14 @@ def main(argv=None) -> int:
                 rows = validation_report(cfg, jobs=args.jobs)
                 columns = VALIDATION_COLUMNS
         if args.out is None:
-            emit_csv(rows, sys.stdout, columns)
+            try:
+                emit_csv(rows, sys.stdout, columns)
+                sys.stdout.flush()
+            except OSError as err:
+                # A closed pipe: the flush at exit writes to devnull instead
+                # of failing again (the `signal` docs' "Note on SIGPIPE").
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                raise ConfigError(f"cannot write stdout: {err.strerror}") from None
         else:
             try:
                 emit_csv(rows, args.out, columns)

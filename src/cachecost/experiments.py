@@ -56,6 +56,7 @@ from .engine import (
 from .policies import LruPolicy, _check_window, count_threshold
 from .presets import DEFAULT_MC_SAMPLES, DEFAULT_SEEDS
 from .workload import (
+    MAX_ARRIVALS,
     Columns,
     TraceFormatError,
     _check_duration,
@@ -279,10 +280,6 @@ _SCOPE_NAMES = {
     "request_trace": "request traces",
     "count_trace": "count traces",
 }
-
-# Most expected arrivals, lambda * duration, of a synthetic run: about 24 GB
-# of trace columns. A longer run could not finish.
-MAX_ARRIVALS = 1e9
 
 # sweep axis -> the [section] key it sets
 SWEEP_AXES = {

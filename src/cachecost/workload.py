@@ -57,6 +57,10 @@ BLOCK_REQUESTS = 4096
 # Arrivals per synthetic draw block. The draws interleave per block, so
 # this is part of what a seed means.
 _SYNTHETIC_BLOCK = 8192
+# Most expected arrivals of one trace: lambda * duration of a synthetic run,
+# the summed views of a count trace. That is about 24 GB of trace columns;
+# a longer run could not finish.
+MAX_ARRIVALS = 1e9
 
 
 class Columns(NamedTuple):
@@ -388,9 +392,15 @@ def synthesize_from_counts(records: Sequence[CountTraceRecord], seed: int) -> It
     sort on time, so equal times keep record order. Ads are left
     unassigned (-1). Each record gets its own child seed, so the result is
     deterministic for a fixed record order and seed. The whole trace is
-    drawn and sorted when the first block is asked for.
+    drawn and sorted when the first block is asked for, once the summed
+    views are known to be at most `MAX_ARRIVALS`.
     """
     seed = _check_int("seed", seed, 0)
+    views = sum(rec.total_views for rec in records)
+    if views > MAX_ARRIVALS:
+        raise TraceFormatError(
+            f"the count trace holds {views} views, above the limit of {MAX_ARRIVALS:g} arrivals"
+        )
     children = np.random.SeedSequence(seed).spawn(len(records))
     per_record = [_record_times(rec, child) for rec, child in zip(records, children)]
     movies = np.array([rec.movie for rec in records], dtype=np.int64)

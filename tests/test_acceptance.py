@@ -6,15 +6,19 @@ LRU-vs-TTL sweeps, the policy cost ordering on synthetic and bundled
 workloads, estimation-window sensitivity, the clairvoyant floor against an
 independent oracle, and deterministic replay of the bundled miniatures.
 
+The statistical checks price through `sweep` and `run_experiment`, as users
+do; `test_battery_rows_equal_the_engine` holds each battery row and kind
+to the event engine, field for field, on a full-size trace.
+
 Each test prints one [PASS]/[FAIL] line with the measured margins. Battery
 sizes were chosen so every statistical tolerance holds with wide margin on
-seeds 1..5; the full module takes a few minutes on one core.
+seeds 1..5; the full module takes about a minute on two cores.
 """
 
+import functools
 import math
 import time
 from pathlib import Path
-from statistics import fmean
 
 import numpy as np
 import pytest
@@ -27,23 +31,16 @@ from cachecost.analytic import (
     optimal_global_ttl,
 )
 from cachecost.cli import EXIT_OK, main
-from cachecost.engine import (
-    by_item,
-    cost_per_request,
-    global_ttl_verdicts,
-    lower_bound_verdicts,
-    lru_ledgers,
-    run,
-    run_length_ledger,
+from cachecost.engine import by_item, lower_bound_verdicts, run, run_length_ledger
+from cachecost.experiments import (
+    _policy_param,
+    _run_single,
+    build_trace,
+    parse_config,
+    run_experiment,
+    sweep,
 )
-from cachecost.policies import (
-    GlobalTtlPolicy,
-    IndividualTtlPolicy,
-    LowerBoundPolicy,
-    LruPolicy,
-    PerfectRatePolicy,
-    next_request_times,
-)
+from cachecost.policies import LowerBoundPolicy, next_request_times
 from cachecost.presets import (
     default_cost_model,
     default_monte_carlo,
@@ -56,6 +53,8 @@ from cachecost.workload import (
     requests_of,
 )
 
+from engine_oracle import engine_fields, row_fields
+
 COSTS = default_cost_model()
 MC = default_monte_carlo()
 S = COSTS.storage_per_item_hour
@@ -66,6 +65,7 @@ BREAK_EVEN_W = COSTS.break_even_window()      # C/S
 NO_CACHE_COST = C + X
 
 SEEDS = (1, 2, 3, 4, 5)
+JOBS = 2  # worker processes of each battery run or sweep
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "src" / "cachecost" / "data"
@@ -85,19 +85,46 @@ def _report(capsys, name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-def _materialize(lam: float, duration: float, seed: int):
-    return list(gen_synthetic(default_population(lam), duration, seed))
+def _config(kind, workload: dict, population=None, *, warmup=0.0, seeds=SEEDS, **param):
+    """An in-memory config of one policy kind at the preset prices."""
+    sections = {
+        "costs": {"storage_per_item_hour": S, "compute_per_item": C, "transmission_per_item": X},
+        "population": population or {},
+        "policy": {"kind": kind, **param},
+        "workload": workload,
+        "run": {"seeds": ",".join(map(str, seeds)), "warmup": warmup},
+    }
+    return parse_config("".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items() if keys
+    ))
 
 
-def _mean_cost(trace, policy, warmup: float) -> float:
-    return cost_per_request(run(trace, policy, COSTS, warmup=warmup))
+def _synthetic(lam, duration, warmup=0.0, seeds=SEEDS):
+    """A battery row on the preset population at rate `lam`: kind -> config."""
+    pm = default_population(lam)
+    population = {"movies": pm.movies.n, "movie_exponent": pm.movies.s,
+                  "ads": pm.ads.n, "ad_exponent": pm.ads.s, "lambda": lam}
+    workload = {"source": "synthetic", "duration": duration}
+    return functools.partial(_config, workload=workload, population=population,
+                             warmup=warmup, seeds=seeds)
 
 
-def _kernel_floor(blocks, warmup: float = 0.0):
-    """The clairvoyant floor priced as a run is: sorted by item, verdicts as
-    arrays, then the run-length kernel."""
-    items = by_item(blocks)
-    return run_length_ledger(items, lower_bound_verdicts(items, COSTS), COSTS, warmup=warmup)
+def _miniature(name):
+    """A bundled count trace overlaid with its ads: kind -> config."""
+    ads, ad_exp = MINIATURES[name]
+    return functools.partial(_config, workload={
+        "source": "count_trace", "path": DATA / name, "ad_catalog": ads, "ad_exponent": ad_exp
+    })
+
+
+def _listed(cfg, seed: int) -> list:
+    """The trace of (cfg, seed) as the event engine takes it."""
+    return list(requests_of(build_trace(cfg, seed)))
+
+
+def _means(rows) -> list:
+    return [row for row in rows if row.seed == "mean"]
 
 
 # --- 1: per-item cost rule ----------------------------------------------------
@@ -157,46 +184,25 @@ FIXED_TTLS = (0.0, 60.0, 120.0, 300.0)
 def test_simulated_costs_match_closed_form(capsys):
     worst_ttl = worst_floor = 0.0
     fewest_requests = math.inf
-    columnar_mismatches = []
-    floor_mismatches = []
     for lam, (duration, warmup) in FIXED_TTL_BATTERY.items():
-        pm = default_population(lam)
-        ttl_costs = {ttl: [] for ttl in FIXED_TTLS}
-        floor_costs = []
-        for seed in SEEDS:
-            trace = _materialize(lam, duration, seed)
-            blocks = list(_synthetic_blocks(pm, duration, seed))
-            items = by_item(blocks)
-            for ttl in FIXED_TTLS:
-                ledger = run(trace, GlobalTtlPolicy(ttl), COSTS, warmup=warmup)
-                verdicts = global_ttl_verdicts(items, ttl)
-                if run_length_ledger(items, verdicts, COSTS, warmup=warmup) != ledger:
-                    columnar_mismatches.append((lam, seed, ttl))
-                fewest_requests = min(fewest_requests, ledger.requests)
-                ttl_costs[ttl].append(cost_per_request(ledger))
-            floor = LowerBoundPolicy(COSTS, next_request_times(trace))
-            ledger = run(trace, floor, COSTS, warmup=warmup)
-            if _kernel_floor(blocks, warmup) != ledger:
-                floor_mismatches.append((lam, seed))
-            fewest_requests = min(fewest_requests, ledger.requests)
-            floor_costs.append(cost_per_request(ledger))
-        for ttl in FIXED_TTLS:
-            want = global_ttl_cost(pm, ttl, COSTS, MC)
-            worst_ttl = max(worst_ttl, abs(fmean(ttl_costs[ttl]) - want) / want)
+        pm, row = default_population(lam), _synthetic(lam, duration, warmup)
+        shared = sweep(row("global_ttl", ttl=FIXED_TTLS[0]), "ttl", FIXED_TTLS, jobs=JOBS)
+        floor = run_experiment(row("lower_bound"), jobs=JOBS)
+        runs = [r.requests for r in shared + floor if r.seed.isdigit()]
+        fewest_requests = min(fewest_requests, *runs)
+        for mean in _means(shared):
+            want = global_ttl_cost(pm, mean.param_value, COSTS, MC)
+            worst_ttl = max(worst_ttl, abs(mean.cost_per_request - want) / want)
         want = lower_bound_cost(pm, COSTS, MC)
-        worst_floor = max(worst_floor, abs(fmean(floor_costs) - want) / want)
+        worst_floor = max(worst_floor, abs(floor[-1].cost_per_request - want) / want)
     ok = worst_ttl < 0.02 and worst_floor < 0.02 and fewest_requests >= 300_000
     _report(
         capsys,
         "simulation vs closed form",
         ok,
         f"rel err: shared lifetime {worst_ttl:.2e}, floor {worst_floor:.2e} "
-        f"(tol 2e-2); min {fewest_requests} measured requests per run; "
-        f"columnar shared-lifetime ledgers differing from the engine: {columnar_mismatches}; "
-        f"columnar floor ledgers differing: {floor_mismatches}",
+        f"(tol 2e-2); min {fewest_requests} measured requests per run",
     )
-    assert not columnar_mismatches
-    assert not floor_mismatches
 
 
 # --- 3: windowed policy vs the per-item ideal ------------------------------------
@@ -206,18 +212,6 @@ WINDOWED_BATTERY = {10.0: 13_000.0, 100.0: 5000.0, 300.0: 4000.0}
 WINDOWED_WARMUP = 3000.0
 
 
-def _true_rate_fn(pm):
-    movie_p = pm.movies.probabilities
-    ad_p = pm.ads.probabilities
-    lam = pm.lambda_global
-
-    def rate_of(item):
-        movie, ad = item
-        return lam * movie_p[movie - 1] * ad_p[ad - 1]
-
-    return rate_of
-
-
 def test_windowed_policy_lands_above_ideal_and_floor(capsys):
     margins, known_errs = [], []
     above_floor = True
@@ -225,19 +219,12 @@ def test_windowed_policy_lands_above_ideal_and_floor(capsys):
         pm = default_population(lam)
         ideal = individual_ttl_cost(pm, COSTS, MC)
         floor = lower_bound_cost(pm, COSTS, MC)
-        est_costs, known_costs = [], []
-        for seed in SEEDS:
-            trace = _materialize(lam, duration, seed)
-            est_costs.append(
-                _mean_cost(trace, IndividualTtlPolicy(BREAK_EVEN_W, COSTS), WINDOWED_WARMUP)
-            )
-            known_costs.append(
-                _mean_cost(trace, PerfectRatePolicy(COSTS, _true_rate_fn(pm)), WINDOWED_WARMUP)
-            )
-        est, known = fmean(est_costs), fmean(known_costs)
-        margins.append((est - ideal) / ideal)
-        known_errs.append(abs(known - ideal) / ideal)
-        above_floor &= est >= floor
+        row = _synthetic(lam, duration, WINDOWED_WARMUP)
+        est = run_experiment(row("individual_ttl", window=BREAK_EVEN_W), jobs=JOBS)[-1]
+        known = run_experiment(row("known_rate"), jobs=JOBS)[-1]
+        margins.append((est.cost_per_request - ideal) / ideal)
+        known_errs.append(abs(known.cost_per_request - ideal) / ideal)
+        above_floor &= est.cost_per_request >= floor
     ok = (
         all(0.0 < m <= 0.05 for m in margins)
         and above_floor
@@ -288,27 +275,14 @@ LRU_BATTERY = {
 }
 
 
-def _kernel_ttl(items, ttl: float, warmup: float):
-    """A shared lifetime priced as a run is: verdicts as arrays, then the
-    run-length kernel."""
-    return run_length_ledger(items, global_ttl_verdicts(items, ttl), COSTS, warmup=warmup)
-
-
 def test_lru_and_ttl_sweeps_agree_on_minimum_cost(capsys):
-    """Priced through the shipped kernels; `test_lru_battery_kernels_equal_the_engine`
-    holds them to the engine on every battery row."""
     gaps = {}
     for lam, (duration, warmup, ttls, capacities) in LRU_BATTERY.items():
-        ttl_costs = {t: [] for t in ttls}
-        cap_costs = {c: [] for c in capacities}
-        for seed in SEEDS:
-            items = by_item(_synthetic_blocks(default_population(lam), duration, seed))
-            for t in ttls:
-                ttl_costs[t].append(cost_per_request(_kernel_ttl(items, t, warmup)))
-            for c, ledger in zip(capacities, lru_ledgers(items, capacities, COSTS, warmup=warmup)):
-                cap_costs[c].append(cost_per_request(ledger))
-        best_ttl = min(fmean(v) for v in ttl_costs.values())
-        best_cap = min(fmean(v) for v in cap_costs.values())
+        row = _synthetic(lam, duration, warmup)
+        # the argmin row of a sweep holds its lowest mean cost
+        best_ttl = sweep(row("global_ttl", ttl=ttls[0]), "ttl", ttls, jobs=JOBS)[-1]
+        best_cap = sweep(row("lru", capacity=capacities[0]), "capacity", capacities, jobs=JOBS)[-1]
+        best_ttl, best_cap = best_ttl.cost_per_request, best_cap.cost_per_request
         gaps[lam] = abs(best_cap - best_ttl) / best_ttl
     ok = all(g <= 0.03 for g in gaps.values())
     _report(
@@ -321,90 +295,50 @@ def test_lru_and_ttl_sweeps_agree_on_minimum_cost(capsys):
     )
 
 
-@pytest.mark.parametrize("lam", list(LRU_BATTERY))
-def test_lru_battery_kernels_equal_the_engine(lam):
-    """On a full-size trace of each battery row, the smallest and largest
-    capacity and the longest lifetime give the engine's ledger exactly."""
-    duration, warmup, ttls, capacities = LRU_BATTERY[lam]
-    blocks = list(_synthetic_blocks(default_population(lam), duration, SEEDS[0]))
-    trace = list(requests_of(blocks))
-    ends = (capacities[0], capacities[-1])
-    items = by_item(blocks)
-    assert lru_ledgers(items, ends, COSTS, warmup=warmup) == [
-        run(trace, LruPolicy(c), COSTS, warmup=warmup) for c in ends
-    ]
-    assert _kernel_ttl(items, ttls[-1], warmup) == run(
-        trace, GlobalTtlPolicy(ttls[-1]), COSTS, warmup=warmup
-    )
-
-
 # --- 6: policy ordering on synthetic and bundled workloads --------------------------
 
 
 ORDERING_GRID = (0.0, 60.0, 240.0, 960.0, BREAK_EVEN_W, 4000.0)
+ORDERING_WORKLOADS = {
+    "synthetic": _synthetic(100.0, 1000.0, seeds=(1, 2, 3)),
+    **{name.removesuffix(".csv"): _miniature(name) for name in MINIATURES},
+}
 
 
-def _ordering_battery(traces):
-    """Per-seed floor dominance plus mean ordering across policies."""
-    floor_means, est_means, best_global_means = [], [], []
-    exact = True
-    per_seed = {"floor": [], "est": [], "global": {t: [] for t in ORDERING_GRID}}
-    for trace in traces:
-        floor_ledger = run(trace, LowerBoundPolicy(COSTS, next_request_times(trace)), COSTS)
-        est_ledger = run(trace, IndividualTtlPolicy(BREAK_EVEN_W, COSTS), COSTS)
-        rivals = [est_ledger.total_dollars]
-        per_seed["floor"].append(cost_per_request(floor_ledger))
-        per_seed["est"].append(cost_per_request(est_ledger))
-        for ttl in ORDERING_GRID:
-            ledger = run(trace, GlobalTtlPolicy(ttl), COSTS)
-            rivals.append(ledger.total_dollars)
-            per_seed["global"][ttl].append(cost_per_request(ledger))
-        exact &= all(
-            floor_ledger.total_dollars <= other * (1 + 1e-9) for other in rivals
-        )
-    floor_means = fmean(per_seed["floor"])
-    est_means = fmean(per_seed["est"])
-    best_global_means = min(fmean(v) for v in per_seed["global"].values())
-    chain_ok = floor_means <= est_means <= best_global_means <= NO_CACHE_COST
-    return exact, chain_ok, floor_means, est_means, best_global_means
+def _total(row) -> float:
+    """A row's dollars, summed as `CostLedger.total_dollars` sums them."""
+    return row.compute_d + row.storage_d + row.transmission_d
 
 
-def _miniature_traces(name, seeds):
-    from cachecost.experiments import build_trace, parse_config
-
-    ads, ad_exp = MINIATURES[name]
-    cfg = parse_config(f"""
-[costs]
-storage_per_item_hour = {S!r}
-compute_per_item = {C!r}
-transmission_per_item = {X!r}
-
-[policy]
-kind = lower_bound
-
-[workload]
-source = count_trace
-path = {DATA / name}
-ad_catalog = {ads}
-ad_exponent = {ad_exp}
-""")
-    return [list(requests_of(build_trace(cfg, seed))) for seed in seeds]
+def _ordering_battery(config):
+    """Per-seed floor dominance on one trace plus mean ordering across policies."""
+    floor = run_experiment(config("lower_bound"), jobs=JOBS)
+    est = run_experiment(config("individual_ttl", window=BREAK_EVEN_W), jobs=JOBS)
+    shared = sweep(config("global_ttl", ttl=ORDERING_GRID[0]), "ttl", ORDERING_GRID, jobs=JOBS)
+    per_seed = {}  # seed -> its floor row, then every rival's
+    for row in floor + est + shared:
+        if row.seed.isdigit():
+            per_seed.setdefault(row.seed, []).append(row)
+    one_trace = all(len({r.trace_checksum for r in rows}) == 1 for rows in per_seed.values())
+    assert one_trace, "a seed's rows price different traces"
+    exact = all(
+        _total(rows[0]) <= _total(other) * (1 + 1e-9)
+        for rows in per_seed.values()
+        for other in rows[1:]
+    )
+    floor_mean, est_mean = floor[-1].cost_per_request, est[-1].cost_per_request
+    best_global_mean = shared[-1].cost_per_request  # the argmin row
+    chain_ok = floor_mean <= est_mean <= best_global_mean <= NO_CACHE_COST
+    return exact, chain_ok, floor_mean, est_mean, best_global_mean
 
 
 def test_policy_cost_ordering_holds_everywhere(capsys):
     reports = []
     all_ok = True
-    synth = [_materialize(100.0, 1000.0, seed) for seed in (1, 2, 3)]
-    exact, chain, floor, est, best = _ordering_battery(synth)
-    all_ok &= exact and chain
-    reports.append(f"synthetic {floor:.3e}<={est:.3e}<={best:.3e} exact={exact}")
-    for name in MINIATURES:
-        traces = _miniature_traces(name, SEEDS)
-        exact, chain, floor, est, best = _ordering_battery(traces)
+    for name, config in ORDERING_WORKLOADS.items():
+        exact, chain, floor, est, best = _ordering_battery(config)
         all_ok &= exact and chain
-        reports.append(
-            f"{name.removesuffix('.csv')} {floor:.3e}<={est:.3e}<={best:.3e} exact={exact}"
-        )
+        reports.append(f"{name} {floor:.3e}<={est:.3e}<={best:.3e} exact={exact}")
     _report(
         capsys,
         "policy cost ordering",
@@ -417,17 +351,13 @@ def test_policy_cost_ordering_holds_everywhere(capsys):
 
 
 WINDOW_FACTORS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
+WINDOW_ROW = _synthetic(100.0, 8000.0, 6000.0)
 
 
 def test_window_sensitivity_around_break_even(capsys):
-    duration, warmup = 8000.0, 6000.0
-    window_costs = {f: [] for f in WINDOW_FACTORS}
-    for seed in SEEDS:
-        trace = _materialize(100.0, duration, seed)
-        for f in WINDOW_FACTORS:
-            policy = IndividualTtlPolicy(f * BREAK_EVEN_W, COSTS)
-            window_costs[f].append(_mean_cost(trace, policy, warmup))
-    means = {f: fmean(v) for f, v in window_costs.items()}
+    windows = [f * BREAK_EVEN_W for f in WINDOW_FACTORS]
+    rows = sweep(WINDOW_ROW("individual_ttl", window=windows[0]), "window", windows, jobs=JOBS)
+    means = {f: row.cost_per_request for f, row in zip(WINDOW_FACTORS, _means(rows))}
     pivot = means[1.0]
     short_ok = all(pivot < means[f] for f in WINDOW_FACTORS if f < 1.0)
     flat = {f: abs(pivot - means[f]) / means[f] for f in WINDOW_FACTORS if f > 1.0}
@@ -442,6 +372,43 @@ def test_window_sensitivity_around_break_even(capsys):
         + ", ".join(f"{f}x {d:.2%}" for f, d in flat.items())
         + " (tol 2%)",
     )
+
+
+# --- the battery rows against the event engine --------------------------------------
+
+
+def _differential_cases():
+    """(battery row, kind) -> the points one `_run_single` call prices on the
+    row's trace: the battery's parameters there, or the ends of its grid."""
+    for lam, (duration, warmup) in FIXED_TTL_BATTERY.items():
+        row = _synthetic(lam, duration, warmup)
+        yield f"fixed_ttl-{lam:g}-global_ttl", [row("global_ttl", ttl=FIXED_TTLS[-1])]
+        yield f"fixed_ttl-{lam:g}-lower_bound", [row("lower_bound")]
+    for lam, duration in WINDOWED_BATTERY.items():
+        row = _synthetic(lam, duration, WINDOWED_WARMUP)
+        yield f"windowed-{lam:g}-individual_ttl", [row("individual_ttl", window=BREAK_EVEN_W)]
+        yield f"windowed-{lam:g}-known_rate", [row("known_rate")]
+    f = WINDOW_FACTORS[0]
+    yield f"window-{f:g}-individual_ttl", [WINDOW_ROW("individual_ttl", window=f * BREAK_EVEN_W)]
+    for lam, (duration, warmup, ttls, capacities) in LRU_BATTERY.items():
+        row = _synthetic(lam, duration, warmup)
+        yield f"lru-{lam:g}-lru", [row("lru", capacity=c) for c in (capacities[0], capacities[-1])]
+        yield f"lru-{lam:g}-global_ttl", [row("global_ttl", ttl=ttls[-1])]
+    for name, config in ORDERING_WORKLOADS.items():
+        yield f"ordering-{name}-lower_bound", [config("lower_bound")]
+        yield f"ordering-{name}-individual_ttl", [config("individual_ttl", window=BREAK_EVEN_W)]
+        yield f"ordering-{name}-global_ttl", [config("global_ttl", ttl=ORDERING_GRID[-1])]
+
+
+@pytest.mark.parametrize("points", [pytest.param(p, id=case) for case, p in _differential_cases()])
+def test_battery_rows_equal_the_engine(points):
+    """On the full-size trace of a battery row at SEEDS[0], the rows that a
+    run gives for a kind are the ledgers that `engine.run` gives with the
+    kind's policy class, field for field."""
+    cfg = points[0]
+    rows = _run_single(cfg, SEEDS[0], [(point, _policy_param(point)) for point in points])
+    trace = _listed(cfg, SEEDS[0])
+    assert [row_fields(row) for row in rows] == [engine_fields(point, trace) for point in points]
 
 
 # --- 8: clairvoyant floor vs gap-scan oracle ------------------------------------------
@@ -478,7 +445,8 @@ def test_clairvoyant_floor_matches_gap_scan_oracle(capsys):
         )
         trace = list(gen_synthetic(pm, 1000.0 / lam, seed=trial))
         ledger = run(trace, LowerBoundPolicy(COSTS, next_request_times(trace)), COSTS)
-        if _kernel_floor(_synthetic_blocks(pm, 1000.0 / lam, trial)) != ledger:
+        items = by_item(_synthetic_blocks(pm, 1000.0 / lam, trial))
+        if run_length_ledger(items, lower_bound_verdicts(items, COSTS), COSTS) != ledger:
             kernel_mismatches.append(trial)
         want = _gap_scan_price(trace)
         worst = max(worst, abs(ledger.total_dollars - want) / want)
@@ -504,9 +472,8 @@ def test_bundled_miniatures_replay_reproducibly(capsys, tmp_path):
         with open(DATA / name, encoding="utf-8") as handle:
             records = parse_count_trace(handle)
         parse_ok &= len(records) > 100 and all(r.horizon > r.upload_time for r in records)
-        one = _miniature_traces(name, (42,))[0]
-        two = _miniature_traces(name, (42,))[0]
-        other = _miniature_traces(name, (43,))[0]
+        cfg = _miniature(name)("lower_bound")
+        one, two, other = _listed(cfg, 42), _listed(cfg, 42), _listed(cfg, 43)
         parse_ok &= one == two and one != other and len(one) > 5000
 
     mismatched = []

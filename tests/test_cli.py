@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cachecost import analytic, experiments
+from cachecost import analytic, experiments, workload
 from cachecost.analytic import MAX_MC_SAMPLES
 from cachecost.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_TRACE, main
 from cachecost.engine import InvariantViolation
@@ -203,6 +203,25 @@ def test_monte_carlo_samples_past_the_limit_are_one_config_error_line(
         f"config error: monte_carlo.samples: samples must be <= {MAX_MC_SAMPLES}, got {too_many}\n"
     )
     assert calls == []  # rejected while parsing, before any draw
+
+
+@pytest.mark.parametrize("key", ["population.movies", "population.ads", "workload.ad_catalog"])
+def test_catalog_past_the_limit_is_one_config_error_line(tmp_path, capsys, key):
+    huge = 10**12
+    trace = tmp_path / "t.csv"
+    trace.write_text("7,0.0,5,48.0\n")
+    counts = TRACE_CONFIG.format(policy="kind = global_ttl\nttl = 60.0", path=trace, warmup=0.0)
+    text = {
+        "population.movies": CONFIG.replace("movies = 40", f"movies = {huge}"),
+        "population.ads": CONFIG.replace("ads = 5", f"ads = {huge}"),
+        "workload.ad_catalog": counts.replace("request_trace", "count_trace").replace(
+            "[run]", f"ad_catalog = {huge}\nad_exponent = 0.9\n\n[run]"
+        ),
+    }[key]
+    assert main(["run", "--config", str(_priced(text, tmp_path))]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {key}: catalog size must be <= {analytic.MAX_CATALOG}, got {huge}\n"
+    )
 
 
 def test_validate_takes_its_rows_from_the_run_experiment_global(config_file, capsys, monkeypatch):
@@ -484,6 +503,19 @@ def test_count_trace_with_infinite_horizon_exits_with_trace_code(tmp_path, capsy
     assert capsys.readouterr().err == "trace error: line 1: horizon must be finite, got inf\n"
 
 
+def test_count_trace_past_the_arrival_limit_exits_with_trace_code(tmp_path, capsys, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew arrivals before checking the total")
+
+    monkeypatch.setattr(workload, "_record_times", no_draw)
+    data = b"1,0,100000000000000,1000000000000000\n"
+    assert _trace_run(tmp_path, "count_trace", data) == EXIT_TRACE
+    assert capsys.readouterr().err == (
+        "trace error: the count trace holds 100000000000000 views, "
+        "above the limit of 1e+09 arrivals\n"
+    )
+
+
 def test_out_in_a_missing_directory_is_config_error(config_file, capsys, tmp_path, monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("ran before checking --out")
@@ -634,14 +666,36 @@ def test_unknown_subcommand_exits_via_argparse(config_file):
         main(["replay", "--config", config_file])
 
 
+# the package need not be installed: a child imports it from src/
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+
+
 def test_console_entry_point_is_wired():
-    # the package need not be installed: the child imports it from src/
-    src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-c", "from cachecost.cli import main; raise SystemExit(main(['--help']))"],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=SRC_ENV,
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
     assert "run" in proc.stdout and "sweep" in proc.stdout
+
+
+def test_stdout_closed_by_its_reader_is_one_config_error_line():
+    # 300 points x 4 rows is far more than a pipe holds, so the command is
+    # still writing when the reader closes its end
+    grid = ",".join(map(str, range(300)))
+    args = ["sweep", "--config", str(CONFIGS / "smoke_run.ini"), "--ttl-grid", grid]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cachecost.cli", *args],
+        env=SRC_ENV,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout.readline().startswith("policy,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == EXIT_CONFIG
+    assert err.startswith("config error: cannot write stdout: ") and err.count("\n") == 1

@@ -44,21 +44,14 @@ from cachecost.analytic import (
     lower_bound_cost,
     optimal_global_ttl,
 )
-from cachecost.engine import cost_per_request, run
-from cachecost.policies import (
-    GlobalTtlPolicy,
-    IndividualTtlPolicy,
-    LowerBoundPolicy,
-    LruPolicy,
-    PerfectRatePolicy,
-    next_request_times,
-)
 from cachecost.workload import (
     TraceFormatError,
     columns_of,
     gen_synthetic,
     requests_of,
 )
+
+from engine_oracle import POLICY_CLASSES, engine_fields, row_fields
 
 BASE_COSTS = """
 [costs]
@@ -715,32 +708,16 @@ def test_run_rows_equal_the_engine_with_the_policy_class(policy):
     """A run prices every kind through its fast path; its rows must be the
     ones the event engine gives with that kind's policy class, also on a
     trace whose blocks it sorts and takes rates from across block edges.
-    A kind added to the table without its oracle here fails."""
+    A kind added to the table without its oracle in
+    `engine_oracle.POLICY_CLASSES` fails."""
     assert {_kind_cfg(case).policy.kind for case in KIND_CASES} == set(experiments.POLICY_KINDS)
+    assert POLICY_CLASSES.keys() == set(experiments.POLICY_KINDS)
     cfg = _kind_cfg(policy)
-    pm = cfg.population
-
-    def rate_of(item):
-        return pm.rates(*item)
-
     long_cfg = _kind_cfg(policy, LONG_SYNTH)
     for cfg, seed in [(cfg, seed) for cfg in (cfg, long_cfg) for seed in cfg.seeds]:
         requests = _requests(cfg, seed)
-        policy_of = {
-            "global_ttl": lambda: GlobalTtlPolicy(cfg.policy.ttl),
-            "individual_ttl": lambda: IndividualTtlPolicy(cfg.policy.window, cfg.costs),
-            "lower_bound": lambda: LowerBoundPolicy(cfg.costs, next_request_times(requests)),
-            "known_rate": lambda: PerfectRatePolicy(cfg.costs, rate_of),
-            "lru": lambda: LruPolicy(cfg.policy.capacity),
-        }
-        assert policy_of.keys() == set(experiments.POLICY_KINDS)
-        ledger = run(requests, policy_of[cfg.policy.kind](), cfg.costs, warmup=cfg.warmup)
         [row] = _run_single(cfg, seed)
-        assert (row.requests, row.hits) == (ledger.requests, ledger.hits)
-        assert row.cost_per_request == cost_per_request(ledger)
-        assert (row.compute_d, row.storage_d, row.transmission_d) == (
-            ledger.compute_dollars, ledger.storage_dollars, ledger.transmission_dollars
-        )
+        assert row_fields(row) == engine_fields(cfg, requests)
     assert len(requests) > 2 * 8192  # the long trace spans three blocks
 
 
