@@ -12,7 +12,9 @@ Every fast path starts from one sort: `by_item` sorts the blocks of a
 trace stably by item as they stream. Every policy but LRU decides a
 request from its item's own previous or next request: a `*_verdicts`
 function gives the policy's verdicts for all sorted requests at once, and
-`run_length_ledger` prices them as residency runs. LRU is a stack
+`run_length_ledger` prices them as residency runs: it pairs run starts
+with run ends by position, stops each run at min(until, its item's next
+request), and sorts them into the engine's order. LRU is a stack
 algorithm (Mattson, Gecsei, Slutz and Traiger 1970). `lru_ledgers` reads
 each item's consecutive requests in the same sort as its reuse pairs, and
 prices every capacity of a trace from two facts:
@@ -26,9 +28,10 @@ prices every capacity of a trace from two facts:
   earliest. LRU evicts the resident whose last request is oldest, so no
   residency is evicted before one whose last request came earlier.
 
-A warmup threshold makes the ledger count only requests at or after the
-threshold and only storage accrued from it onwards, while the cache state
-is still built from the entire prefix.
+Both fast paths bill item-hours through `_item_hours`, in the engine's
+order. A warmup threshold makes the ledger count only requests at or
+after the threshold and only storage accrued from it onwards, while the
+cache state is still built from the entire prefix.
 """
 
 from __future__ import annotations
@@ -210,9 +213,9 @@ def _check_times(times: np.ndarray, prev: float) -> None:
         )
 
 
-# Steps of the chunked passes over a whole trace in `by_item` and
-# `lru_ledgers`: they bound its working memory beyond the trace's times and
-# sort keys.
+# Steps of the chunked passes over a whole trace in `by_item` and the
+# ledgers: they bound its working memory beyond the trace's times and sort
+# keys.
 _CHUNK = 1 << 13
 
 
@@ -231,10 +234,9 @@ def lru_ledgers(
     `earlier[k]`. They are in item order, then time order, so each item's
     pairs form one chain. One pass finds each pair's stack distance, so
     every capacity's hits follow at once; see the module docstring for why
-    eviction order is last-access order. Item-hours are the engine's terms
-    in the engine's order, summed in sequence: each eviction as it
-    happens, then the items still resident at the end in order of their
-    start.
+    eviction order is last-access order. `_item_hours` bills each eviction
+    as it happens, then the items still resident at the end in order of
+    their start.
     """
     capacities = [_check_int("capacity", c, 1) for c in capacities]
     warmup = _check_warmup(warmup)
@@ -418,32 +420,26 @@ def _lru_ledger(
     misses = n - miss_gaps.size
     evictions = max(misses - capacity, 0)
 
-    def billed_start(q: np.ndarray) -> np.ndarray:
-        """The billed start, never before the warmup, of the residency whose
-        last request is the q-th earliest."""
+    def started(q: np.ndarray) -> np.ndarray:
+        """The start of the residency whose last request is the q-th earliest."""
         end = _nth_outside(last_gaps, q)
         k = np.searchsorted(hit_at, end)
-        start = np.where(hit_at[k] == end, began[k], end)
-        return np.maximum(times[start], warmup)
+        return times[np.where(hit_at[k] == end, began[k], end)]
 
-    def terms():
+    def runs():
         for lo in range(0, evictions, _CHUNK):
             q = np.arange(lo, min(lo + _CHUNK, evictions))
-            at = times[_nth_outside(miss_gaps, q + capacity)]
-            yield (at - billed_start(q))[at > warmup]
-        if n and times[-1] > warmup:
-            begin = np.empty(misses - evictions)
-            for lo in range(0, begin.size, _CHUNK):
-                q = np.arange(evictions + lo, min(evictions + lo + _CHUNK, misses))
-                begin[lo : lo + q.size] = billed_start(q)
-            begin.sort()
-            for lo in range(0, begin.size, _CHUNK):
-                yield times[-1] - begin[lo : lo + _CHUNK]
+            yield started(q), times[_nth_outside(miss_gaps, q + capacity)]
+        begin = np.empty(misses - evictions)
+        for lo in range(0, begin.size, _CHUNK):
+            q = np.arange(evictions + lo, min(evictions + lo + _CHUNK, misses))
+            begin[lo : lo + q.size] = started(q)
+        begin.sort()
+        for lo in range(0, begin.size, _CHUNK):
+            part = begin[lo : lo + _CHUNK]
+            yield part, np.full(part.size, times[-1])
 
-    item_hours = 0.0
-    for chunk in terms():
-        # cumsum adds in sequence, as the engine does
-        item_hours = float(np.cumsum(np.concatenate(([item_hours], chunk)))[-1])
+    item_hours = _item_hours(runs(), warmup)
     return CostLedger.priced(n - cut, hits, item_hours, costs)
 
 
@@ -548,13 +544,13 @@ def run_length_ledger(
 ) -> CostLedger:
     """The ledger `run` gives for these verdicts, priced from columns.
 
-    A residency run opens at a stored request with no run open, or at a
-    stored miss. A miss closes the open run at the previous request's
-    `until`, and a hit that does not store closes it at the hit. Runs still
-    open at the end are clipped at the last trace time. Item-hours are
-    summed sequentially in the order the engine adds them: closed runs by
-    the trace index of the request that closes them, then open runs by the
-    trace index of their first request.
+    A residency run starts at a stored request that does not continue its
+    item's run and goes on through the item's stored hits, so the i-th
+    start and the i-th end bound one run. It stops at min(`until` at its
+    end, its item's next request or the last trace time): a miss comes at
+    or after `until`, a hit that does not store before it. The engine bills
+    a run at that next request, or after all those, in order of its first
+    request, if none comes; one sort of that trace-index key orders the runs.
     """
     warmup = _check_warmup(warmup)
     t = items.times
@@ -562,33 +558,36 @@ def run_length_ledger(
     counted = t >= warmup
     requests = int(np.count_nonzero(counted))
     hits = int(np.count_nonzero(hit & counted))
-    item_hours = 0.0
-    # is_open[k]: a run of request k's item is open when request k arrives.
-    is_open = _after(items.same, stored)
-    starts = np.flatnonzero(stored & ~(is_open & hit))
-    closers = np.flatnonzero(is_open & ~(hit & stored))
-    if starts.size:
-        begin = t[starts]
-        begin = np.where(begin > warmup, begin, warmup)
-        # Each closer ends the run its item opened last before it.
-        ended = np.searchsorted(starts, closers) - 1
-        stop = np.where(hit[closers], t[closers], until[closers - 1])
-        by_close = np.argsort(items.order[closers])
-        stop = stop[by_close]
-        closed_hours = (stop - begin[ended[by_close]])[stop > warmup]
-        still_open = np.ones(starts.size, dtype=bool)
-        still_open[ended] = False
-        first = starts[still_open]
-        # An open run lasts to its item's last request.
-        item_ends = np.append(np.flatnonzero(~items.same), t.size - 1)
-        stop = until[item_ends[np.searchsorted(item_ends, first)]]
-        stop = np.where(items.t_end < stop, items.t_end, stop)
-        by_first = np.argsort(items.order[first])
-        stop = stop[by_first]
-        open_hours = (stop - begin[still_open][by_first])[stop > warmup]
-        hours = np.concatenate((closed_hours, open_hours))
-        if hours.size:
-            # cumsum adds in sequence, as the engine does; np.sum (pairwise)
-            # and math.fsum would round differently.
-            item_hours = float(np.cumsum(hours)[-1])
+    goes_on = np.zeros(t.size + 1, dtype=bool)  # request k continues k - 1's run
+    goes_on[1:-1] = stored[:-1] & items.same & hit[1:] & stored[1:]
+    starts = np.flatnonzero(stored & ~goes_on[:-1])
+    ends = np.flatnonzero(stored & ~goes_on[1:])
+    del goes_on
+    stop = until[ends]
+    np.minimum(stop, items.t_end, out=stop)
+    closed = np.append(items.same, False)[ends]
+    ends = ends[closed] + 1  # the requests that stop the closed runs
+    stop[closed] = np.minimum(stop[closed], t[ends])
+    key = np.add(items.order[starts], t.size, dtype=np.int64)
+    key[closed] = items.order[ends]
+    # each run-sized array goes once read: at most four are alive at once
+    del ends, closed
+    start = t[starts]
+    del starts
+    by_key = np.argsort(key)
+    del key
+    chunks = (by_key[lo : lo + _CHUNK] for lo in range(0, by_key.size, _CHUNK))
+    item_hours = _item_hours(((start[k], stop[k]) for k in chunks), warmup)
     return CostLedger.priced(requests, hits, item_hours, costs)
+
+
+def _item_hours(runs: Iterable[tuple[np.ndarray, np.ndarray]], warmup: float) -> float:
+    """The item-hours of residency runs, given as chunks of (start, stop)
+    times in the engine's order: from the start, or the warmup if later,
+    to the stop, if that is after the warmup. They are added in sequence,
+    as the engine adds them; np.sum (pairwise) would round differently."""
+    total = 0.0
+    for start, stop in runs:
+        hours = stop - np.maximum(start, warmup)
+        total = float(np.cumsum(np.concatenate(([total], hours[stop > warmup])))[-1])
+    return total

@@ -489,13 +489,15 @@ def _grid(section: str, key: str, grid: Sequence) -> list:
 
 
 def _file_lines(path: str) -> Iterator[str]:
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             yield from handle
-        except UnicodeDecodeError as err:
-            raise TraceFormatError(
-                f"{path} is not UTF-8 text: {err.reason}", _undecodable_line(path)
-            ) from None
+    except UnicodeDecodeError as err:
+        raise TraceFormatError(
+            f"{path} is not UTF-8 text: {err.reason}", _undecodable_line(path)
+        ) from None
+    except OSError as err:
+        raise TraceFormatError(f"cannot read trace {path}: {err.strerror}") from None
 
 
 def _undecodable_line(path: str) -> int:
@@ -629,12 +631,19 @@ def _run_single(
 
     def row(point: ExperimentConfig, param: tuple, ledger: CostLedger) -> ResultRow:
         if ledger.requests == 0:
-            if not items.times.size:
-                raise TraceFormatError("the trace holds no requests")
-            raise ConfigError(
-                f"run.warmup ({point.warmup!r}) lies past the last request of the trace "
-                f"(at {items.t_end!r} h); no request is priced"
-            )
+            if items.times.size:
+                raise ConfigError(
+                    f"run.warmup ({point.warmup!r}) lies past the last request of the trace "
+                    f"(at {items.t_end!r} h); no request is priced"
+                )
+            if cfg.workload.source == "synthetic":
+                lam, duration = cfg.population.lambda_global, cfg.workload.duration
+                raise ConfigError(
+                    f"the synthetic trace of seed {seed} holds no requests: population.lambda "
+                    f"({lam!r}) * workload.duration ({duration!r}) is {lam * duration!r} "
+                    "expected arrivals"
+                )
+            raise TraceFormatError("the trace holds no requests")
         dollars = {
             "compute_d": ledger.compute_dollars,
             "storage_d": ledger.storage_dollars,

@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, output routing, seed overrides."""
 
 import csv
+import errno
 import io
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cachecost import analytic, experiments, workload
+from cachecost import analytic, cli, experiments, workload
 from cachecost.analytic import MAX_MC_SAMPLES
 from cachecost.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_TRACE, main
 from cachecost.engine import InvariantViolation
@@ -417,6 +418,36 @@ def test_trace_without_requests_exits_with_trace_code(tmp_path, capsys):
     cfg.write_text(TRACE_CONFIG.format(policy="kind = global_ttl\nttl = 60.0", path=trace, warmup=0.0))
     assert main(["run", "--config", str(cfg)]) == EXIT_TRACE
     assert capsys.readouterr().err == "trace error: the trace holds no requests\n"
+
+
+def test_synthetic_trace_without_requests_is_config_error(tmp_path, capsys):
+    # no trace file is involved: the draw is empty because lambda * duration is tiny
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(CONFIG.replace("lambda = 30.0", "lambda = 0.01").replace("duration = 20.0", "duration = 1.0"))
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: the synthetic trace of seed 1 holds no requests: "
+        "population.lambda (0.01) * workload.duration (1.0) is 0.01 expected arrivals\n"
+    )
+
+
+@pytest.mark.parametrize("swap", [errno.ENOENT, errno.EISDIR], ids=["removed", "directory"])
+def test_trace_file_unreadable_after_loading_exits_with_trace_code(tmp_path, capsys, monkeypatch, swap):
+    trace = tmp_path / "t.csv"
+    trace.write_text("0.0,1,1\n")
+    cfg = tmp_path / "t.ini"
+    cfg.write_text(TRACE_CONFIG.format(policy="kind = global_ttl\nttl = 60.0", path=trace, warmup=0.0))
+
+    def load_then_swap(path):
+        loaded = experiments.load_config(path)
+        trace.unlink()
+        if swap == errno.EISDIR:
+            trace.mkdir()
+        return loaded
+
+    monkeypatch.setattr(cli, "load_config", load_then_swap)
+    assert main(["run", "--config", str(cfg)]) == EXIT_TRACE
+    assert capsys.readouterr().err == f"trace error: cannot read trace {trace}: {os.strerror(swap)}\n"
 
 
 @pytest.mark.parametrize(

@@ -566,22 +566,65 @@ def test_kernel_equals_the_engine_on_any_valid_verdicts(case, data):
             resident[item] = time + keep
         script.append(PolicyVerdict(hit, None if keep is None else time + keep))
 
-    class Scripted:
-        def __init__(self):
-            self._verdicts = iter(script)
-
-        def on_request(self, item, now):
-            return next(self._verdicts)
-
     items = by_item(_blocks(reqs))
-    # NaN where nothing is stored: the kernel must never read it
-    verdicts = Verdicts(
+    want = run(reqs, _Scripted(script), HALF_RATE, warmup=warmup)
+    assert run_length_ledger(items, _scripted_verdicts(items, script), HALF_RATE, warmup=warmup) == want
+
+
+def _scripted_verdicts(items, script):
+    """A script of `PolicyVerdict`s, in trace order, as `Verdicts` on `items`;
+    NaN where nothing is stored: the kernel must never read it."""
+    return Verdicts(
         np.array([v.store_until is not None for v in script], dtype=bool)[items.order],
         np.array([math.nan if v.store_until is None else v.store_until for v in script])[items.order],
         np.array([v.hit for v in script], dtype=bool)[items.order],
     )
-    want = run(reqs, Scripted(), HALF_RATE, warmup=warmup)
-    assert run_length_ledger(items, verdicts, HALF_RATE, warmup=warmup) == want
+
+
+# BIG + 1 rounds back to BIG (ties to even), so hours of BIG, 1 and 1 sum to
+# BIG in that order and to BIG + 2 in the order 1, 1, BIG: only the
+# engine's order gives its ledger.
+BIG = 2.0**53
+I3, I4, I5 = (3, 1), (4, 1), (5, 1)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, engine._CHUNK])
+@pytest.mark.parametrize(
+    "script, item_hours",
+    [
+        # A's run starts first and is billed last, at A's miss; the runs of B
+        # and I3 close before it.
+        (
+            [(0.0, A, False, BIG), (0.0, B, False, 1.0), (0.0, I3, False, 1.0),
+             (1.0, B, False, None), (2.0, I3, False, None), (BIG, A, False, None)],
+            BIG + 2,
+        ),
+        # A's run starts first and is still open at the end: it is billed
+        # after every closed run.
+        (
+            [(0.0, A, False, math.inf), (0.0, B, False, 1.0), (0.0, I3, False, 1.0),
+             (1.0, B, False, None), (2.0, I3, False, None), (BIG, A, True, math.inf)],
+            BIG + 2,
+        ),
+        # Runs open at the end are billed in order of their first request,
+        # here the reverse of their items' order.
+        (
+            [(0.0, I3, False, math.inf), (BIG - 1, A, False, math.inf),
+             (BIG - 1, B, False, math.inf), (BIG, I3, True, math.inf)],
+            BIG,
+        ),
+    ],
+    ids=["closes-last", "open-after-closed", "open-by-first-request"],
+)
+def test_kernel_bills_in_the_engine_order(script, item_hours, chunk):
+    reqs = [(time, item) for time, item, _, _ in script]
+    script = [PolicyVerdict(hit, until) for _, _, hit, until in script]
+    want = run(reqs, _Scripted(script), HALF_RATE)
+    assert want.storage_dollars == item_hours
+    items = by_item(_blocks(reqs))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_CHUNK", chunk)
+        assert run_length_ledger(items, _scripted_verdicts(items, script), HALF_RATE) == want
 
 
 @settings(max_examples=400, deadline=None)
@@ -688,6 +731,20 @@ def test_lru_ledger_equals_the_engine_on_synthetic_traces():
         assert lru_ledgers(by_item(blocks), capacities, COSTS, warmup=warmup) == want
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3, engine._CHUNK])
+def test_lru_ledger_bills_in_eviction_order(chunk):
+    """At capacity 2, A's residency starts first and is evicted third, at
+    I5's miss, after the one-hour residencies of B and I3; those of I4 and
+    I5 are open at the end. In start order the hours would sum to
+    2 * BIG - 2."""
+    reqs = [(0.0, A), (0.0, B), (0.0, A), (1.0, I3), (1.0, A), (2.0, I4), (BIG, I5)]
+    want = run(reqs, LruPolicy(2), HALF_RATE)
+    assert want.storage_dollars == 1 + 1 + BIG + (BIG - 2) + 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_CHUNK", chunk)
+        assert lru_ledgers(by_item(_blocks(reqs)), [2], HALF_RATE) == [want]
+
+
 @pytest.mark.parametrize(
     "reqs, cuts",
     [
@@ -792,3 +849,23 @@ def test_lru_pricing_memory_is_bounded():
         tracemalloc.stop()
     assert len(ledgers) == 5
     assert peak <= 1.5 * 4.92 * 2**20
+
+
+def test_run_length_pricing_memory_is_bounded():
+    # 1.25x 15.97 MiB, the peak of global_ttl_verdicts plus run_length_ledger
+    # on configs/validate_global_ttl.ini's seed-1 trace of 411,221 requests,
+    # where one run-sized array is about 3 MiB. When the kernel paired closed
+    # and open runs by two searchsorted lookups the peak was 28.60 MiB.
+    cfg = load_config(CONFIGS / "validate_global_ttl.ini")
+    items = by_item(build_trace(cfg, 1))
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        ledger = run_length_ledger(
+            items, global_ttl_verdicts(items, cfg.policy.ttl), cfg.costs, warmup=cfg.warmup
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ledger.requests == 310_551
+    assert peak <= 1.25 * 15.97 * 2**20
