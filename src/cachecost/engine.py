@@ -9,24 +9,30 @@ eviction, or the final event of the trace. The policy classes plus `run`
 are the oracle; every kind has one fast path whose ledger is `==` theirs.
 
 Every fast path starts from one sort: `by_item` sorts the blocks of a
-trace stably by item as they stream. Every policy but LRU decides a
-request from its item's own previous or next request: a `*_verdicts`
-function gives the policy's verdicts for all sorted requests at once, and
-`run_length_ledger` prices them as residency runs: it pairs run starts
-with run ends by position, stops each run at min(until, its item's next
-request), and sorts them into the engine's order. LRU is a stack
-algorithm (Mattson, Gecsei, Slutz and Traiger 1970). `lru_ledgers` reads
-each item's consecutive requests in the same sort as its reuse pairs, and
-prices every capacity of a trace from two facts:
+trace stably by item as they stream. Verdicts on the sorted requests
+become residency runs one way, `_runs`: a run starts at a stored request
+that does not continue its item's run and goes on through the item's
+stored hits, so the i-th first and the i-th last request bound one run.
+Every policy but LRU decides a request from its item's own previous or
+next request: a `*_verdicts` function gives the policy's verdicts for all
+sorted requests at once, and `run_length_ledger` stops each run at
+min(until, its item's next request) and sorts the runs into the engine's
+order. LRU is a stack algorithm (Mattson, Gecsei, Slutz and Traiger
+1970). `lru_ledgers` reads each item's consecutive requests in the same
+sort as its reuse pairs, and prices every capacity of a trace from two
+facts:
 
 - A request whose item was last requested at p hits at capacity c exactly
   when fewer than c distinct items were requested since p, its stack
-  distance D: D < c. A first request misses at every capacity.
-- Once c misses have filled the cache, every later miss evicts one
-  residency, in order of their last requests: the m-th eviction, at the
-  (c + m)-th miss, closes the residency whose last request is the m-th
+  distance D: D < c. A first request misses at every capacity. Every
+  request stores its item, so these hits fix the runs as a TTL kind's
+  verdicts do, and each miss starts one run.
+- Once c misses have filled the cache, every later miss evicts one run,
+  in order of their last requests: the m-th eviction (from 0), at the
+  (c + m)-th miss, closes the run whose last request is the m-th
   earliest. LRU evicts the resident whose last request is oldest, so no
-  residency is evicted before one whose last request came earlier.
+  run is evicted before one whose last request came earlier. The runs
+  never evicted stay resident to the end of the trace.
 
 Both fast paths bill item-hours through `_item_hours`, in the engine's
 order. A warmup threshold makes the ledger count only requests at or
@@ -229,29 +235,59 @@ def lru_ledgers(
     """The ledger `run` gives for `LruPolicy(c)` at each capacity c, all
     from one trace sorted by item.
 
-    Its reuse pairs are each item's consecutive requests in that order:
-    request `later[k]` is the next request of the item of request
-    `earlier[k]`. They are in item order, then time order, so each item's
-    pairs form one chain. One pass finds each pair's stack distance, so
-    every capacity's hits follow at once; see the module docstring for why
-    eviction order is last-access order. `_item_hours` bills each eviction
-    as it happens, then the items still resident at the end in order of
-    their start.
+    Its reuse pairs are each item's consecutive requests in that order.
+    One pass finds each pair's stack distance, so every capacity's hits
+    follow at once. Every request stores its item, so `_runs` pairs a
+    capacity's hits into residency runs as it does a TTL kind's verdicts,
+    and `_lru_item_hours` bills the runs; see the module docstring for why
+    their eviction order is the order of their last requests.
     """
     capacities = [_check_int("capacity", c, 1) for c in capacities]
     warmup = _check_warmup(warmup)
-    later, earlier = items.order[1:][items.same], items.order[:-1][items.same]
-    times = np.empty_like(items.times)
-    times[items.order] = items.times
-    distance = _stack_distances(times.size, later, earlier)
-    # chain[k]: pair k is its item's first, so its earlier request is the
-    # item's first request
-    chain = np.ones(later.size, dtype=bool)
-    chain[1:] = earlier[1:] != later[:-1]
-    return [
-        _lru_ledger(times, later, earlier, distance, chain, c, costs, warmup)
-        for c in capacities
-    ]
+    t = items.times
+    distance = _stack_distances(t.size, items.order[1:][items.same], items.order[:-1][items.same])
+    requests = int(np.count_nonzero(t >= warmup))
+    ledgers = []
+    for capacity in capacities:
+        capacity = min(capacity, t.size)  # a larger cache behaves the same
+        hit = np.zeros(t.size, dtype=bool)
+        hit[1:][items.same] = distance < capacity
+        hits = int(np.count_nonzero(hit & (t >= warmup)))
+        item_hours = _lru_item_hours(items, hit, capacity, warmup)
+        ledgers.append(CostLedger.priced(requests, hits, item_hours, costs))
+    return ledgers
+
+
+def _lru_item_hours(items: ItemOrder, hit: np.ndarray, capacity: int, warmup: float) -> float:
+    """The item-hours of LRU at `capacity` from its hits on the sorted trace.
+
+    Misses in trace order come in time order, and each starts one run, so
+    the m-th eviction (from 0) happens at the (capacity + m)-th smallest
+    run start; tied times are equal values, so no trace-order times are
+    needed. A trace-sized slot array holds each run's first request at its
+    last request's trace index, so read in trace order it gives the runs
+    in order of their last request without a sort. The first of them are
+    evicted in that order; the rest stay to the last request and are
+    billed in order of their start, where tied starts bill equal hours.
+    """
+    first, last = _runs(items, np.broadcast_to(True, hit.shape), hit)
+    slot = np.full(hit.size, -1, dtype=items.order.dtype)
+    slot[items.order[last]] = np.flatnonzero(first)
+    del first, last
+    start = items.times[slot[slot >= 0]]  # the runs' starts, in eviction order
+    del slot
+    evicted_at = np.sort(start)[capacity:]
+    evicted, resident = start[: evicted_at.size], start[evicted_at.size :]
+    resident.sort()
+
+    def runs():
+        for lo in range(0, evicted.size, _CHUNK):
+            yield evicted[lo : lo + _CHUNK], evicted_at[lo : lo + _CHUNK]
+        for lo in range(0, resident.size, _CHUNK):
+            part = resident[lo : lo + _CHUNK]
+            yield part, np.full(part.size, items.t_end)
+
+    return _item_hours(runs(), warmup)
 
 
 def by_item(blocks: Iterable[Columns]) -> ItemOrder:
@@ -386,76 +422,6 @@ def _earlier_larger(values: np.ndarray, bound: int) -> np.ndarray:
     return count
 
 
-def _lru_ledger(
-    times: np.ndarray,
-    later: np.ndarray,
-    earlier: np.ndarray,
-    distance: np.ndarray,
-    chain: np.ndarray,
-    capacity: int,
-    costs: CostModel,
-    warmup: float,
-) -> CostLedger:
-    """One capacity's ledger from `lru_ledgers`' reuse pairs and their
-    stack distances."""
-    n = times.size
-    capacity = min(capacity, n)  # a larger cache behaves the same
-    hit = distance < capacity
-    cut = int(np.searchsorted(times, warmup))
-    hits = int(np.count_nonzero(hit & (later >= cut)))
-    # A hit extends the residency its item's last miss began: a missing
-    # pair's later request, or the first request of the item.
-    anchor = np.where(chain | ~hit, np.arange(hit.size, dtype=later.dtype), 0)
-    np.maximum.accumulate(anchor, out=anchor)
-    began = np.where(hit, earlier, later)[anchor][hit]
-    hit_at = later[hit]
-    by_time = np.argsort(hit_at)
-    # ending in n, past every index, so each lookup below lands on an entry
-    hit_at = np.append(hit_at[by_time], n)
-    began = np.append(began[by_time], n)
-    # The misses are the requests not in hit_at; the last requests of the
-    # residencies, in eviction order, are those not followed by a hit.
-    miss_gaps = _gaps(hit_at[:-1])
-    last_gaps = _gaps(np.sort(earlier[hit]))
-    misses = n - miss_gaps.size
-    evictions = max(misses - capacity, 0)
-
-    def started(q: np.ndarray) -> np.ndarray:
-        """The start of the residency whose last request is the q-th earliest."""
-        end = _nth_outside(last_gaps, q)
-        k = np.searchsorted(hit_at, end)
-        return times[np.where(hit_at[k] == end, began[k], end)]
-
-    def runs():
-        for lo in range(0, evictions, _CHUNK):
-            q = np.arange(lo, min(lo + _CHUNK, evictions))
-            yield started(q), times[_nth_outside(miss_gaps, q + capacity)]
-        begin = np.empty(misses - evictions)
-        for lo in range(0, begin.size, _CHUNK):
-            q = np.arange(evictions + lo, min(evictions + lo + _CHUNK, misses))
-            begin[lo : lo + q.size] = started(q)
-        begin.sort()
-        for lo in range(0, begin.size, _CHUNK):
-            part = begin[lo : lo + _CHUNK]
-            yield part, np.full(part.size, times[-1])
-
-    item_hours = _item_hours(runs(), warmup)
-    return CostLedger.priced(n - cut, hits, item_hours, costs)
-
-
-def _gaps(inside: np.ndarray) -> np.ndarray:
-    """For sorted distinct indices, how many indices not among them precede
-    each; `_nth_outside` reads it."""
-    return inside - np.arange(inside.size)
-
-
-def _nth_outside(gaps: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The q-th smallest index (from 0) not among the indices of `gaps`:
-    q plus the count of those that precede it, which are the ones with at
-    most q outside indices before them."""
-    return q + np.searchsorted(gaps, q, side="right")
-
-
 class ItemOrder(NamedTuple):
     """A trace sorted stably by (movie, ad): each item's requests are
     consecutive and in time order. Built by `by_item`."""
@@ -544,13 +510,12 @@ def run_length_ledger(
 ) -> CostLedger:
     """The ledger `run` gives for these verdicts, priced from columns.
 
-    A residency run starts at a stored request that does not continue its
-    item's run and goes on through the item's stored hits, so the i-th
-    start and the i-th end bound one run. It stops at min(`until` at its
-    end, its item's next request or the last trace time): a miss comes at
-    or after `until`, a hit that does not store before it. The engine bills
-    a run at that next request, or after all those, in order of its first
-    request, if none comes; one sort of that trace-index key orders the runs.
+    `_runs` pairs the verdicts into residency runs. A run stops at
+    min(`until` at its end, its item's next request or the last trace
+    time): a miss comes at or after `until`, a hit that does not store
+    before it. The engine bills a run at that next request, or after all
+    those, in order of its first request, if none comes; one sort of that
+    trace-index key orders the runs.
     """
     warmup = _check_warmup(warmup)
     t = items.times
@@ -558,11 +523,7 @@ def run_length_ledger(
     counted = t >= warmup
     requests = int(np.count_nonzero(counted))
     hits = int(np.count_nonzero(hit & counted))
-    goes_on = np.zeros(t.size + 1, dtype=bool)  # request k continues k - 1's run
-    goes_on[1:-1] = stored[:-1] & items.same & hit[1:] & stored[1:]
-    starts = np.flatnonzero(stored & ~goes_on[:-1])
-    ends = np.flatnonzero(stored & ~goes_on[1:])
-    del goes_on
+    starts, ends = map(np.flatnonzero, _runs(items, stored, hit))
     stop = until[ends]
     np.minimum(stop, items.t_end, out=stop)
     closed = np.append(items.same, False)[ends]
@@ -579,6 +540,16 @@ def run_length_ledger(
     chunks = (by_key[lo : lo + _CHUNK] for lo in range(0, by_key.size, _CHUNK))
     item_hours = _item_hours(((start[k], stop[k]) for k in chunks), warmup)
     return CostLedger.priced(requests, hits, item_hours, costs)
+
+
+def _runs(items: ItemOrder, stored: np.ndarray, hit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the last request of each residency run, as masks over
+    the sorted trace. A run starts at a stored request that does not
+    continue its item's run and goes on through the item's stored hits, so
+    the i-th first and the i-th last request bound one run."""
+    goes_on = np.zeros(hit.size + 1, dtype=bool)  # request k continues k - 1's run
+    goes_on[1:-1] = stored[:-1] & items.same & hit[1:] & stored[1:]
+    return stored & ~goes_on[:-1], stored & ~goes_on[1:]
 
 
 def _item_hours(runs: Iterable[tuple[np.ndarray, np.ndarray]], warmup: float) -> float:

@@ -526,7 +526,13 @@ def build_trace(cfg: ExperimentConfig, seed: int) -> Iterator[Columns]:
     if source == "count_trace":
         records = parse_count_trace(_file_lines(cfg.workload.path))
         if cfg.workload.subsample is not None:
+            viewed = sum(1 for rec in records if rec.total_views)
             records = subsample_records(records, cfg.workload.subsample, sub_seed)
+            if viewed and not any(rec.total_views for rec in records):
+                raise ConfigError(
+                    f"the count trace of seed {seed} holds no requests: workload.subsample "
+                    f"({cfg.workload.subsample!r}) keeps none of its {viewed} records with views"
+                )
         blocks = synthesize_from_counts(records, synth_seed)
     else:
         # request trace: an overlay exactly when the file carries no ad ids

@@ -431,6 +431,33 @@ def test_synthetic_trace_without_requests_is_config_error(tmp_path, capsys):
     )
 
 
+def _count_trace_run(tmp_path, data, subsample):
+    (tmp_path / "counts.csv").write_text(data)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(CONFIG.replace(
+        "source = synthetic\nduration = 20.0",
+        f"source = count_trace\npath = counts.csv\nad_catalog = 5\nad_exponent = 0.9\n"
+        f"subsample = {subsample}",
+    ))
+    return main(["run", "--config", str(cfg)])
+
+
+def test_subsample_that_keeps_no_record_is_config_error(tmp_path, capsys):
+    # the file is valid; only the configured fraction leaves the trace empty
+    data = "1,0.0,100,48.0\n2,0.0,0,48.0\n3,0.0,50,48.0\n"
+    assert _count_trace_run(tmp_path, data, 1e-9) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: the count trace of seed 1 holds no requests: "
+        "workload.subsample (1e-09) keeps none of its 2 records with views\n"
+    )
+
+
+@pytest.mark.parametrize("subsample", [1e-9, 1.0])
+def test_count_trace_without_views_exits_with_trace_code(tmp_path, capsys, subsample):
+    assert _count_trace_run(tmp_path, "1,0.0,0,48.0\n2,0.0,0,48.0\n", subsample) == EXIT_TRACE
+    assert capsys.readouterr().err == "trace error: the trace holds no requests\n"
+
+
 @pytest.mark.parametrize("swap", [errno.ENOENT, errno.EISDIR], ids=["removed", "directory"])
 def test_trace_file_unreadable_after_loading_exits_with_trace_code(tmp_path, capsys, monkeypatch, swap):
     trace = tmp_path / "t.csv"

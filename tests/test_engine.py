@@ -698,22 +698,29 @@ def _cut(reqs, cuts):
 
 @settings(max_examples=400, deadline=None)
 @given(_kernel_cases(), st.data())
+# Tied times may be billed in either order. At capacity 2: misses at 1.0
+# both fill the cache and evict;
+@example(([(0.0, A), (1.0, B), (1.0, I3), (1.0, I4), (BIG, A)], 0.0), None)
+# I3 and I4 never evicted, with one start time (at 4 and up, A and B too);
+@example(([(0.0, A), (0.0, B), (1.0, I3), (1.0, I4), (BIG, I3)], 0.5), None)
+# B's one-request run and I4's longer run end at one time; B's ends first
+# in the trace, so LRU evicts it first, and evicting I4 first would round
+# the sum differently.
+@example(([(1.0, I3), (2.0, I4), (BIG - 2, B), (BIG - 2, I4), (BIG, I3)], 0.0), None)
 def test_lru_ledger_equals_the_engine(case, data):
     """One kernel call prices several capacities, each as the engine does;
     chunks of 1, 2 or 3 steps put the chunked passes' edges everywhere."""
     reqs, warmup = case
-    cuts = sorted(data.draw(st.lists(st.integers(0, len(reqs)), max_size=4)))
+    if data is None:  # an @example: capacity 2 on two blocks, chunks of one step
+        cuts, drawn, chunk = [1], [2], 1
+    else:
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(reqs)), max_size=4)))
+        drawn = data.draw(st.lists(st.integers(1, len(ITEMS) + 2), max_size=3))
+        chunk = data.draw(st.sampled_from([1, 2, 3, engine._CHUNK]))
     distinct = len({item for _, item in reqs})
     # 1, anything up to past the 6 items, exactly the distinct count, one
     # more, and 2**63, past int64's range
-    capacities = [
-        1,
-        *data.draw(st.lists(st.integers(1, len(ITEMS) + 2), max_size=3)),
-        max(distinct, 1),
-        distinct + 1,
-        2**63,
-    ]
-    chunk = data.draw(st.sampled_from([1, 2, 3, engine._CHUNK]))
+    capacities = [1, *drawn, max(distinct, 1), distinct + 1, 2**63]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "_CHUNK", chunk)
         got = lru_ledgers(by_item(_cut(reqs, cuts)), capacities, HALF_RATE, warmup=warmup)
@@ -834,7 +841,10 @@ def test_lru_pricing_memory_is_bounded():
     # 1.5x 4.92 MiB, the peak of pricing configs/lru_vs_ttl.ini's capacity
     # grid on its seed-1 trace of 170,862 requests when LRU packed its own
     # reuse pairs. Through by_item, as a run prices it, the peak is
-    # 5.98 MiB, generation and the key buffer's unwritten tail included.
+    # 6.16 MiB, generation and the key buffer's unwritten tail included;
+    # on top of the sorted trace, LRU then holds two float64 copies of a
+    # capacity's ~170,000 run starts, one in eviction order and one sorted.
+    # It was 5.99 MiB when LRU held a trace-order copy of the times instead.
     cfg = load_config(CONFIGS / "lru_vs_ttl.ini")
     np.random.default_rng(1)  # numpy.random loads on first use, not here
     tracemalloc.start()
