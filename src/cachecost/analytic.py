@@ -23,6 +23,7 @@ __all__ = [
     "MonteCarloSpec",
     "PopulationModel",
     "ZipfLaw",
+    "closed_form_cost",
     "expected_item_cost",
     "global_ttl_cost",
     "harmonic",
@@ -312,9 +313,19 @@ def _floor_item_costs(rates: np.ndarray, costs: CostModel) -> np.ndarray:
     return cost
 
 
-def _mean_cost(per_item: np.ndarray, costs: CostModel) -> float:
-    """Cost per request: the mean per-item cost over the draw plus transmission."""
-    return float(np.mean(per_item)) + costs.transmission_per_item
+# Closed form -> the per-item cost of items of these rates at these prices and
+# the policy parameter, which only global_ttl reads (its ttl). individual_ttl
+# is the known-rate ideal, which the windowed kind only approaches.
+CLOSED_FORMS = {
+    "global_ttl": lambda rates, costs, ttl: _ttl_item_costs(rates, ttl, costs),
+    "individual_ttl": lambda rates, costs, _: _ideal_item_costs(rates, costs),
+    "lower_bound": lambda rates, costs, _: _floor_item_costs(rates, costs),
+}
+
+
+def closed_form_cost(form: str, rates: np.ndarray, costs: CostModel, param=None) -> float:
+    """Cost per request of a CLOSED_FORMS form over items of these rates: its mean plus transmission."""
+    return float(np.mean(CLOSED_FORMS[form](rates, costs, param))) + costs.transmission_per_item
 
 
 def _argmin_ttl(ttls: list, curve: list) -> tuple[float, float]:
@@ -360,17 +371,17 @@ def global_ttl_cost(
 ) -> float:
     """Expected cost per request when every item shares one TTL."""
     ttl = _validate_ttl(ttl)
-    return _mean_cost(_ttl_item_costs(sample_item_rates(population, mc), ttl, costs), costs)
+    return closed_form_cost("global_ttl", sample_item_rates(population, mc), costs, ttl)
 
 
 def individual_ttl_cost(population: PopulationModel, costs: CostModel, mc: MonteCarloSpec) -> float:
     """Expected cost per request when each item gets its ideal TTL for a known rate."""
-    return _mean_cost(_ideal_item_costs(sample_item_rates(population, mc), costs), costs)
+    return closed_form_cost("individual_ttl", sample_item_rates(population, mc), costs)
 
 
 def lower_bound_cost(population: PopulationModel, costs: CostModel, mc: MonteCarloSpec) -> float:
     """Expected cost per request of the clairvoyant per-gap rule."""
-    return _mean_cost(_floor_item_costs(sample_item_rates(population, mc), costs), costs)
+    return closed_form_cost("lower_bound", sample_item_rates(population, mc), costs)
 
 
 def optimal_global_ttl(
@@ -389,4 +400,4 @@ def optimal_global_ttl(
     if not ttls:
         raise ValueError("ttl grid must not be empty")
     rates = sample_item_rates(population, mc)
-    return _argmin_ttl(ttls, [_mean_cost(_ttl_item_costs(rates, t, costs), costs) for t in ttls])
+    return _argmin_ttl(ttls, [closed_form_cost("global_ttl", rates, costs, t) for t in ttls])

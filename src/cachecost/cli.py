@@ -90,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_analytic = subs.add_parser("analytic", help="closed-form costs, no simulation")
     _add_common(p_analytic)
     p_analytic.add_argument("--ttl-grid", metavar="LIST", help="shared-TTL grid to tabulate and argmin")
-    p_analytic.add_argument("--lambda-grid", metavar="LIST", help="repeat the argmin search per rate")
+    p_analytic.add_argument("--lambda-grid", metavar="LIST",
+                            help="repeat the argmin search per rate, over --ttl-grid or 0,30,...,600 h")
 
     p_validate = subs.add_parser("validate", help="simulation vs closed form")
     _add_common(p_validate)

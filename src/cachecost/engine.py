@@ -219,9 +219,9 @@ def _check_times(times: np.ndarray, prev: float) -> None:
         )
 
 
-# Steps of the chunked passes over a whole trace in `by_item` and the
-# ledgers: they bound its working memory beyond the trace's times and sort
-# keys.
+# Steps of the chunked passes over a whole trace in `by_item` and
+# `_item_hours`: they bound its working memory beyond the trace's times and
+# sort keys.
 _CHUNK = 1 << 13
 
 
@@ -277,17 +277,10 @@ def _lru_item_hours(items: ItemOrder, hit: np.ndarray, capacity: int, warmup: fl
     start = items.times[slot[slot >= 0]]  # the runs' starts, in eviction order
     del slot
     evicted_at = np.sort(start)[capacity:]
-    evicted, resident = start[: evicted_at.size], start[evicted_at.size :]
+    total = _item_hours(start[: evicted_at.size], evicted_at, warmup)
+    resident = start[evicted_at.size :]
     resident.sort()
-
-    def runs():
-        for lo in range(0, evicted.size, _CHUNK):
-            yield evicted[lo : lo + _CHUNK], evicted_at[lo : lo + _CHUNK]
-        for lo in range(0, resident.size, _CHUNK):
-            part = resident[lo : lo + _CHUNK]
-            yield part, np.full(part.size, items.t_end)
-
-    return _item_hours(runs(), warmup)
+    return _item_hours(resident, np.broadcast_to(items.t_end, resident.shape), warmup, total)
 
 
 def by_item(blocks: Iterable[Columns]) -> ItemOrder:
@@ -537,9 +530,9 @@ def run_length_ledger(
     del starts
     by_key = np.argsort(key)
     del key
-    chunks = (by_key[lo : lo + _CHUNK] for lo in range(0, by_key.size, _CHUNK))
-    item_hours = _item_hours(((start[k], stop[k]) for k in chunks), warmup)
-    return CostLedger.priced(requests, hits, item_hours, costs)
+    start = start[by_key]
+    stop = stop[by_key]
+    return CostLedger.priced(requests, hits, _item_hours(start, stop, warmup), costs)
 
 
 def _runs(items: ItemOrder, stored: np.ndarray, hit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -552,13 +545,14 @@ def _runs(items: ItemOrder, stored: np.ndarray, hit: np.ndarray) -> tuple[np.nda
     return stored & ~goes_on[:-1], stored & ~goes_on[1:]
 
 
-def _item_hours(runs: Iterable[tuple[np.ndarray, np.ndarray]], warmup: float) -> float:
-    """The item-hours of residency runs, given as chunks of (start, stop)
-    times in the engine's order: from the start, or the warmup if later,
-    to the stop, if that is after the warmup. They are added in sequence,
-    as the engine adds them; np.sum (pairwise) would round differently."""
-    total = 0.0
-    for start, stop in runs:
-        hours = stop - np.maximum(start, warmup)
-        total = float(np.cumsum(np.concatenate(([total], hours[stop > warmup])))[-1])
+def _item_hours(start: np.ndarray, stop: np.ndarray, warmup: float, total: float = 0.0) -> float:
+    """`total` plus the item-hours of residency runs from `start` to `stop`,
+    given in the engine's order: from the start, or the warmup if later, to
+    the stop, if that is after the warmup. They are added in sequence, in
+    `_CHUNK` steps, as the engine adds them; np.sum (pairwise) would round
+    differently."""
+    for lo in range(0, start.size, _CHUNK):
+        part = stop[lo : lo + _CHUNK]
+        hours = part - np.maximum(start[lo : lo + _CHUNK], warmup)
+        total = float(np.cumsum(np.concatenate(([total], hours[part > warmup])))[-1])
     return total

@@ -29,16 +29,14 @@ import numpy as np
 
 from . import analytic
 from .analytic import (
+    CLOSED_FORMS,
     CostModel,
     MonteCarloSpec,
     PopulationModel,
     ZipfLaw,
     _argmin_ttl,
-    _floor_item_costs,
-    _ideal_item_costs,
-    _mean_cost,
-    _ttl_item_costs,
     _validate_ttl,
+    closed_form_cost,
     optimal_global_ttl,
 )
 from .engine import (
@@ -93,7 +91,7 @@ class ConfigError(ValueError):
 # Policy kind -> its verdicts on every request of a run, from the point's
 # config, the trace sorted by item and the true item rates (None for LRU,
 # which lru_ledgers prices); whether they read the true rates; and the
-# CLOSED_FORMS label validate compares it with (None: it has none).
+# analytic.CLOSED_FORMS label validate compares it with (None: it has none).
 _Kind = NamedTuple("_Kind", [("verdicts", Callable), ("needs_rates", bool), ("form", str)])
 _KINDS = {
     "global_ttl": _Kind(lambda p, i, _: global_ttl_verdicts(i, p.policy.ttl), False, "global_ttl"),
@@ -535,24 +533,30 @@ def build_trace(cfg: ExperimentConfig, seed: int) -> Iterator[Columns]:
                 )
         blocks = synthesize_from_counts(records, synth_seed)
     else:
-        # request trace: an overlay exactly when the file carries no ad ids
         blocks = parse_request_trace(_file_lines(cfg.workload.path))
-        first = next(blocks, None)
-        if first is None:
-            return iter(())
-        blocks = chain([first], blocks)
-        if first.ads[0] != -1:
-            if cfg.workload.ads is not None:
-                raise TraceFormatError(
-                    "trace has ad ids and an ad overlay is configured "
-                    "(drop workload.ad_catalog and workload.ad_exponent)"
-                )
-            return blocks
-        if cfg.workload.ads is None:
-            raise TraceFormatError(
-                "trace has no ad ids and no ad overlay is configured "
-                "(set workload.ad_catalog and workload.ad_exponent)"
+    first = next(blocks, None)
+    if first is None:
+        views = sum(rec.total_views for rec in records) if source == "count_trace" else 0
+        if views:
+            raise ConfigError(
+                f"the count trace of seed {seed} holds no requests: the Poisson draw for "
+                f"its records' views ({views} in all) gives no arrival"
             )
+        return iter(())
+    blocks = chain([first], blocks)
+    # an overlay exactly when the trace carries no ad ids, as a count trace never does
+    if first.ads[0] != -1:
+        if cfg.workload.ads is not None:
+            raise TraceFormatError(
+                "trace has ad ids and an ad overlay is configured "
+                "(drop workload.ad_catalog and workload.ad_exponent)"
+            )
+        return blocks
+    if cfg.workload.ads is None:
+        raise TraceFormatError(
+            "trace has no ad ids and no ad overlay is configured "
+            "(set workload.ad_catalog and workload.ad_exponent)"
+        )
     return overlay_ads(blocks, cfg.workload.ads, overlay_seed)
 
 
@@ -821,16 +825,6 @@ def emit_csv(
 # --- analytic and validation reports ---------------------------------------
 
 
-# Closed-form evaluator -> the per-item cost of drawn item rates, given the
-# prices and the policy parameter (only global_ttl reads it: its ttl).
-# individual_ttl is the known-rate ideal, which the windowed kind only
-# approaches; a `_KINDS` row names the form validate compares its kind with.
-CLOSED_FORMS = {
-    "global_ttl": lambda rates, costs, ttl: _ttl_item_costs(rates, ttl, costs),
-    "individual_ttl": lambda rates, costs, _: _ideal_item_costs(rates, costs),
-    "lower_bound": lambda rates, costs, _: _floor_item_costs(rates, costs),
-}
-
 ANALYTIC_COLUMNS = ("evaluator", "param_name", "param_value", "ttl", "cost_per_request")
 
 
@@ -854,17 +848,13 @@ def analytic_table(
         lambda_grid = _grid("population", "lambda", lambda_grid)
     if cfg.population is None:
         raise ConfigError("this configuration has no population section")
-
-    def price(evaluator: str, rates: np.ndarray, param=None) -> float:
-        return _mean_cost(CLOSED_FORMS[evaluator](rates, cfg.costs, param), cfg.costs)
-
     rates = analytic.sample_item_rates(cfg.population, cfg.mc)
     rows = []
     for evaluator in CLOSED_FORMS:
         if evaluator != "global_ttl":
-            rows.append((evaluator, "", "", "", price(evaluator, rates)))
+            rows.append((evaluator, "", "", "", closed_form_cost(evaluator, rates, cfg.costs)))
         elif ttl_grid is not None:
-            curve = [price(evaluator, rates, ttl) for ttl in ttl_grid]
+            curve = [closed_form_cost(evaluator, rates, cfg.costs, ttl) for ttl in ttl_grid]
             rows += [(evaluator, "ttl", ttl, ttl, cost) for ttl, cost in zip(ttl_grid, curve)]
             best_ttl, best_cost = _argmin_ttl(ttl_grid, curve)
             rows.append(("optimal_global_ttl", "ttl", best_ttl, best_ttl, best_cost))
@@ -894,7 +884,8 @@ def validation_report(cfg: ExperimentConfig, *, jobs: int = 1) -> list[dict]:
     Supported on synthetic workloads for every kind whose `_KINDS` row
     names a CLOSED_FORMS form: each its own, but individual_ttl and
     known_rate both the known-rate ideal. The simulation runs first, then
-    one draw of item rates prices the form. rel_err is |sim - form| / form;
+    one draw of item rates prices the form at the kind's own parameter
+    (None for a kind without one). rel_err is |sim - form| / form;
     against a form of 0 it is 0.0 for a simulated cost of 0, else inf.
     """
     if cfg.workload.source != "synthetic":
@@ -905,8 +896,9 @@ def validation_report(cfg: ExperimentConfig, *, jobs: int = 1) -> list[dict]:
         raise ConfigError(f"no closed-form counterpart for policy kind {kind!r}")
     mean = run_experiment(cfg, jobs=jobs)[-1]
     rates = analytic.sample_item_rates(cfg.population, cfg.mc)
-    closed_form = _mean_cost(CLOSED_FORMS[form](rates, cfg.costs, cfg.policy.ttl), cfg.costs)
+    name, value = _policy_param(cfg)
+    closed_form = closed_form_cost(form, rates, cfg.costs, value if name else None)
     sim, sd = mean.cost_per_request, ("" if mean.cost_sd is None else mean.cost_sd)
     rel_err = abs(sim - closed_form) / closed_form if closed_form else (math.inf if sim else 0.0)
-    row = (kind, *_policy_param(cfg), closed_form, sim, sd, rel_err, len(cfg.seeds))
+    row = (kind, name, value, closed_form, sim, sd, rel_err, len(cfg.seeds))
     return [dict(zip(VALIDATION_COLUMNS, row))]

@@ -452,6 +452,15 @@ def test_subsample_that_keeps_no_record_is_config_error(tmp_path, capsys):
     )
 
 
+def test_count_trace_whose_draw_is_empty_is_config_error(tmp_path, capsys):
+    # the file is valid and its record has a view; seed 2's Poisson draw of it is empty
+    assert _count_trace_run(tmp_path, "1,0.0,1,48.0\n", 1.0) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: the count trace of seed 2 holds no requests: the Poisson draw for "
+        "its records' views (1 in all) gives no arrival\n"
+    )
+
+
 @pytest.mark.parametrize("subsample", [1e-9, 1.0])
 def test_count_trace_without_views_exits_with_trace_code(tmp_path, capsys, subsample):
     assert _count_trace_run(tmp_path, "1,0.0,0,48.0\n2,0.0,0,48.0\n", subsample) == EXIT_TRACE

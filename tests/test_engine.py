@@ -627,6 +627,27 @@ def test_kernel_bills_in_the_engine_order(script, item_hours, chunk):
         assert run_length_ledger(items, _scripted_verdicts(items, script), HALF_RATE) == want
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 8192])
+def test_item_hours_carries_its_total_across_calls(chunk, monkeypatch):
+    """Two calls, the second carrying the first's total, add the runs in
+    sequence exactly as one call on the joined arrays does; runs that stop
+    at or before the warmup add nothing."""
+    warmup = 2.0
+    # hours: none, none, BIG, 1, 1 (clipped at the warmup), 0
+    start = np.array([0.0, 1.0, 2.0, 3.0, 0.5, 5.0])
+    stop = np.array([1.0, 2.0, BIG + 2, 4.0, 3.0, 5.0])
+    want = 0.0
+    for s, t in zip(start, stop):
+        if t > warmup:
+            want += t - max(s, warmup)
+    assert want == BIG
+    monkeypatch.setattr(engine, "_CHUNK", chunk)
+    assert engine._item_hours(start, stop, warmup) == want
+    for cut in range(start.size + 1):
+        total = engine._item_hours(start[:cut], stop[:cut], warmup)
+        assert engine._item_hours(start[cut:], stop[cut:], warmup, total) == want
+
+
 @settings(max_examples=400, deadline=None)
 @given(_kernel_cases(), st.sampled_from(WINDOWS))
 # 12.019 - 3.3 rounds to the first mark exactly, but the mark plus 3.3 rounds

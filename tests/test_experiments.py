@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cachecost import experiments
+from cachecost import analytic, experiments
 from cachecost.experiments import (
     ANALYTIC_COLUMNS,
     CSV_COLUMNS,
@@ -1036,6 +1036,37 @@ def test_validation_report_compares_sim_to_closed_form():
         rel=1e-12,
     )
     assert report["rel_err"] < 0.05
+
+
+# kind -> its public closed-form evaluator at a config's population, prices and mc
+EVALUATORS = {
+    "global_ttl": lambda cfg: global_ttl_cost(cfg.population, cfg.policy.ttl, cfg.costs, cfg.mc),
+    "individual_ttl": lambda cfg: individual_ttl_cost(cfg.population, cfg.costs, cfg.mc),
+    "known_rate": lambda cfg: individual_ttl_cost(cfg.population, cfg.costs, cfg.mc),
+    "lower_bound": lambda cfg: lower_bound_cost(cfg.population, cfg.costs, cfg.mc),
+}
+
+
+@pytest.mark.parametrize(
+    "policy", [case for case in KIND_CASES if experiments._KINDS[_kind_cfg(case).policy.kind].form]
+)
+def test_validation_report_prices_each_kind_at_its_own_parameter(policy, monkeypatch):
+    """validate's closed form is the kind's public evaluator, and the form
+    is handed the kind's own parameter: None for a kind without one."""
+    cfg = _kind_cfg(policy)
+    kind = cfg.policy.kind
+    assert EVALUATORS.keys() == {k for k, row in experiments._KINDS.items() if row.form}
+    form = experiments._KINDS[kind].form
+    priced, params = analytic.CLOSED_FORMS[form], []
+
+    def recorded(rates, costs, param):
+        params.append(param)
+        return priced(rates, costs, param)
+
+    monkeypatch.setitem(analytic.CLOSED_FORMS, form, recorded)
+    (report,) = validation_report(cfg)
+    assert params == [{"global_ttl": cfg.policy.ttl, "individual_ttl": cfg.policy.window}.get(kind)]
+    assert report["analytic_cost"] == EVALUATORS[kind](cfg)
 
 
 def test_validation_report_rejects_unsupported_setups(tmp_path):
