@@ -56,6 +56,7 @@ from .presets import DEFAULT_MC_SAMPLES, DEFAULT_SEEDS
 from .workload import (
     MAX_ARRIVALS,
     Columns,
+    CountTraceRecord,
     TraceFormatError,
     _check_duration,
     _synthetic_blocks,
@@ -515,14 +516,42 @@ def _trace_child_seeds(seed: int) -> tuple[int, int, int]:
     return sub, synth, overlay
 
 
-def build_trace(cfg: ExperimentConfig, seed: int) -> Iterator[Columns]:
-    """The trace of one run as `Columns` blocks, fully determined by (cfg, seed)."""
+def _trace_file(cfg: ExperimentConfig) -> "list[Columns] | list[CountTraceRecord] | None":
+    """The seed-free part of a run's trace, read once per command: a request
+    trace's parsed blocks, a count trace's records, or None for a synthetic
+    source. A request trace without ad ids is held without its all -1 ad
+    column (`ads` is None); the overlay gives each seed its own."""
+    source = cfg.workload.source
+    if source == "synthetic":
+        return None
+    lines = _file_lines(cfg.workload.path)
+    if source == "count_trace":
+        return parse_count_trace(lines)
+    return [
+        block._replace(ads=None) if block.ads[0] == -1 else block
+        for block in parse_request_trace(lines)
+    ]
+
+
+def build_trace(
+    cfg: ExperimentConfig,
+    seed: int,
+    held: "list[Columns] | list[CountTraceRecord] | None" = None,
+) -> Iterator[Columns]:
+    """The trace of one run as `Columns` blocks, fully determined by (cfg, seed).
+
+    `held` is `_trace_file(cfg)`, which the runs of one command share; by
+    default the file is read here. Each seed adds its own subsample,
+    count-trace synthesis or ad overlay.
+    """
     source = cfg.workload.source
     if source == "synthetic":
         return _synthetic_blocks(cfg.population, cfg.workload.duration, seed)
+    if held is None:
+        held = _trace_file(cfg)
     sub_seed, synth_seed, overlay_seed = _trace_child_seeds(seed)
     if source == "count_trace":
-        records = parse_count_trace(_file_lines(cfg.workload.path))
+        records = held
         if cfg.workload.subsample is not None:
             viewed = sum(1 for rec in records if rec.total_views)
             records = subsample_records(records, cfg.workload.subsample, sub_seed)
@@ -533,7 +562,7 @@ def build_trace(cfg: ExperimentConfig, seed: int) -> Iterator[Columns]:
                 )
         blocks = synthesize_from_counts(records, synth_seed)
     else:
-        blocks = parse_request_trace(_file_lines(cfg.workload.path))
+        blocks = iter(held)
     first = next(blocks, None)
     if first is None:
         views = sum(rec.total_views for rec in records) if source == "count_trace" else 0
@@ -545,7 +574,7 @@ def build_trace(cfg: ExperimentConfig, seed: int) -> Iterator[Columns]:
         return iter(())
     blocks = chain([first], blocks)
     # an overlay exactly when the trace carries no ad ids, as a count trace never does
-    if first.ads[0] != -1:
+    if first.ads is not None and first.ads[0] != -1:
         if cfg.workload.ads is not None:
             raise TraceFormatError(
                 "trace has ad ids and an ad overlay is configured "
@@ -597,12 +626,14 @@ def _run_single(
     cfg: ExperimentConfig,
     seed: int,
     points: "Sequence[tuple[ExperimentConfig, tuple]] | None" = None,
+    held: "list[Columns] | list[CountTraceRecord] | None" = None,
 ) -> list[ResultRow]:
     """One task: the trace of (cfg, seed) priced at each (config, param)
     point, one CSV row per point.
 
     The points differ from cfg at most in the policy parameter, so they
-    share its trace; by default cfg is the one point. The trace streams
+    share its trace; by default cfg is the one point. `held` is the trace
+    file read once for the command (see `build_trace`). The trace streams
     through as blocks, each folded into the checksum as it passes, and
     `by_item` sorts it by item. Every kind has one fast path, and the
     policy classes replayed by `run` are its oracle. The kind without
@@ -627,7 +658,7 @@ def _run_single(
                 rates.append(cfg.population.rates(block.movies, block.ads))
             yield block
 
-    items = by_item(checked(build_trace(cfg, seed)))
+    items = by_item(checked(build_trace(cfg, seed, held)))
     if verdicts is None:
         capacities = [point.policy.capacity for point, _ in points]
         ledgers = lru_ledgers(items, capacities, cfg.costs, warmup=cfg.warmup)
@@ -715,7 +746,7 @@ def _summary_row(rows: Sequence[ResultRow]) -> ResultRow:
 
 
 def _execute(
-    tasks: "list[tuple[ExperimentConfig, int, list]]", jobs: int
+    tasks: "list[tuple[ExperimentConfig, int, list, object]]", jobs: int
 ) -> "list[list[ResultRow]]":
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -731,11 +762,14 @@ def _run_points(
 ) -> list[ResultRow]:
     """Run each (config, param) point once per seed, all on one pool; per
     point, its per-seed rows then its mean row. The points share their
-    seeds. With `shared` they also share each seed's trace, and one task
-    per seed prices them all; otherwise each (point, seed) is a task."""
+    seeds and their workload, so a trace file is read once, before any
+    task starts, and every task prices from it. With `shared` they also
+    share each seed's trace, and one task per seed prices them all;
+    otherwise each (point, seed) is a task."""
     seeds = points[0][0].seeds
+    held = _trace_file(points[0][0])
     groups = [points] if shared else [[point] for point in points]
-    tasks = [(group[0][0], seed, group) for group in groups for seed in seeds]
+    tasks = [(group[0][0], seed, group, held) for group in groups for seed in seeds]
     done = iter(_execute(tasks, jobs))
     rows: list[ResultRow] = []
     for _ in groups:

@@ -510,14 +510,14 @@ def test_request_trace_takes_ad_ids_from_the_file_or_the_overlay(
     assert capsys.readouterr().err == f"trace error: {message}\n"
 
 
-def _trace_run(tmp_path, source, data, out=None):
+def _trace_run(tmp_path, source, data, out=None, flags=()):
     trace = tmp_path / "t.csv"
     trace.write_bytes(data)
     cfg = tmp_path / "t.ini"
     text = TRACE_CONFIG.format(policy="kind = global_ttl\nttl = 60.0", path=trace, warmup=0.0)
     text = text.replace("request_trace", source)
     cfg.write_text(text.replace("[run]", "ad_catalog = 5\nad_exponent = 0.9\n\n[run]"))
-    return main(["run", "--config", str(cfg)] + (["--out", str(out)] if out else []))
+    return main(["run", "--config", str(cfg), *flags] + (["--out", str(out)] if out else []))
 
 
 @pytest.mark.parametrize(
@@ -553,6 +553,30 @@ def test_trace_error_past_the_first_chunk_names_its_line(tmp_path, capsys, data,
     assert _trace_run(tmp_path, "request_trace", data) == EXIT_TRACE
     message = message.format(path=tmp_path / "t.csv")
     assert capsys.readouterr().err == f"trace error: line 9001: {message}\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "source, data, error",
+    [
+        ("request_trace", _LONG_TRACE.encode() + b"5000.0,x\n", "line 9001: bad movie id 'x'"),
+        ("count_trace", b"7,0.0,5,48.0\n8,0.0,5,48.0\n9,1.0,x,48.0\n",
+         "line 3: bad field: invalid literal for int() with base 10: 'x'"),
+    ],
+    ids=["request-trace", "count-trace"],
+)
+def test_a_bad_trace_line_fails_before_any_seed_is_priced(
+    tmp_path, capsys, monkeypatch, source, data, error, jobs
+):
+    # the file is read once, before the pool starts, so no seed's trace is built
+    def priced(cfg, seed, *args):
+        raise AssertionError(f"seed {seed} was priced")
+
+    monkeypatch.setattr(experiments, "build_trace", priced)
+    flags = ["--seed", "1", "--seed", "2", "--seed", "3", "--jobs", jobs]
+    assert _trace_run(tmp_path, source, data, flags=flags) == EXIT_TRACE
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"trace error: {error}\n")
 
 
 def test_request_trace_with_a_byte_order_mark_reads_as_without(tmp_path):

@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import io
 import math
+import os
 import statistics
 import struct
 import zlib
@@ -532,6 +533,18 @@ path = {trace}
 {overlay}""")
 
 
+def test_a_trace_file_without_ad_ids_is_held_at_16_bytes_a_request(tmp_path):
+    # times and movie ids in the parser's blocks, without the all -1 ad
+    # column: each seed's overlay supplies the ads
+    n, cfg = _long_trace_config(tmp_path, "global_ttl", ads=False)
+    held = experiments._trace_file(cfg)
+    assert [block.times.size for block in held] == [4096, 4096, n - 2 * 4096]
+    assert all(block.ads is None for block in held)
+    arrays = [array for block in held for array in (block.times, block.movies)]
+    assert all(array.base is None for array in arrays)  # no parse buffer kept alive
+    assert sum(array.nbytes for array in arrays) == 16 * n
+
+
 def test_overlay_ads_are_zipf_draws_from_the_overlay_seed(tmp_path):
     # drawn per block of 4096 requests, as the overlay sees the trace
     n, cfg = _long_trace_config(tmp_path, "global_ttl", ads=False)
@@ -801,23 +814,64 @@ def test_grouped_sweep_rows_equal_one_task_per_point_and_seed(tmp_path):
         ("kind = individual_ttl\nwindow = 100.0", "window", [100.0, 1481.48, 3000.0], 1),
         ("kind = lru\ncapacity = 4", "capacity", [2, 8, 32], 1),
         ("kind = global_ttl\nttl = 60.0", "lambda", [20.0, 40.0, 80.0], 3),
+        (None, "window", [740.74, 2962.96, 5000.0], 1),
     ],
-    ids=["ttl", "window", "lru-capacity", "lambda"],
+    ids=["ttl", "window", "lru-capacity", "lambda", "request-trace-window"],
 )
 def test_sweep_builds_a_trace_per_seed_unless_points_cannot_share_it(
-    monkeypatch, policy, axis, grid, builds_per_seed
+    monkeypatch, tmp_path, policy, axis, grid, builds_per_seed
 ):
     seeds = []
     build = experiments.build_trace
 
-    def counted(cfg, seed):
+    def counted(cfg, seed, *args):
         seeds.append(seed)
-        return build(cfg, seed)
+        return build(cfg, seed, *args)
 
     monkeypatch.setattr(experiments, "build_trace", counted)
-    cfg = _cfg(SMALL_SYNTH.replace("kind = global_ttl\nttl = 60.0", policy))
+    if policy is None:
+        _, cfg = _long_trace_config(tmp_path, "individual_ttl", ads=False)
+        cfg = dataclasses.replace(cfg, seeds=(1, 2, 3))
+    else:
+        cfg = _cfg(SMALL_SYNTH.replace("kind = global_ttl\nttl = 60.0", policy))
     sweep(cfg, axis, grid)
     assert sorted(seeds) == sorted(cfg.seeds * builds_per_seed)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_each_command_parses_its_trace_file_once(monkeypatch, tmp_path, jobs):
+    """Every seed and grid point prices from one read of the file, made
+    before any task starts; a parse in a pool worker fails the command."""
+    pid, parsed = os.getpid(), []
+
+    def in_this_process(name):
+        parse = getattr(experiments, name)
+
+        def counted(lines):
+            assert os.getpid() == pid, f"{name} ran in a pool worker"
+            parsed.append(name)
+            return parse(lines)
+
+        monkeypatch.setattr(experiments, name, counted)
+
+    in_this_process("parse_request_trace")
+    in_this_process("parse_count_trace")
+    _, window = _long_trace_config(tmp_path, "individual_ttl", ads=False)
+    (tmp_path / "ads").mkdir()
+    _, floor = _long_trace_config(tmp_path / "ads", "lower_bound", ads=True)
+    seeds = {"seeds": (1, 2, 3)}
+    commands = [
+        (lambda: sweep(dataclasses.replace(window, **seeds), "window",
+                       [740.74, 2962.96, 5000.0], jobs=jobs), "parse_request_trace", 13),
+        (lambda: run_experiment(dataclasses.replace(floor, **seeds), jobs=jobs),
+         "parse_request_trace", 4),
+        (lambda: sweep(load_config(CONFIGS / "trace_vod_ttl_sweep.ini"), "ttl",
+                       [0.0, 240.0, math.inf], jobs=jobs), "parse_count_trace", 10),
+    ]
+    for command, parser, rows in commands:
+        parsed.clear()
+        assert len(command()) == rows
+        assert parsed == [parser]
 
 
 @pytest.mark.parametrize(
